@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if self.eval_samples < 1:
+            raise ConfigError("eval.samples must be >= 1")
         if self.teacher != "analytic":
             if not self.teacher.startswith("learned:"):
                 raise ConfigError(f"unknown teacher {self.teacher!r}")

@@ -20,6 +20,7 @@ from .distill import StageGrid, ota_start
 from .flow import MixtureSpec, SIGMA_FLOOR, interpolate, ode_solve, sample_mixture
 
 W2_MAX_POINTS = 256
+ENERGY_BLOCK_ELEMENTS = 2 ** 20  # distances per row block (8 MiB in float64)
 
 
 def w2_exact_small(a, b) -> float:
@@ -45,37 +46,77 @@ def energy_distance(a, b) -> float:
     return float(2.0 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean())
 
 
+def _sum_chunks(s_tot, tail, flat):
+    """Add a float32 stream to a float64 total in the order of numpy's sum.
+
+    `D.sum(dtype=np.float64)` adds the pairwise sums of consecutive
+    np.getbufsize()-element chunks of the flattened array one after
+    another. Feeding D here piece by piece, carrying the partial chunk
+    (`tail`) into the next call, and finally reducing the last tail gives
+    the same total bit for bit. Returns the new (s_tot, tail).
+    """
+    chunk = np.getbufsize()
+    if len(tail):
+        k = min(chunk - len(tail), len(flat))
+        tail = np.concatenate([tail, flat[:k]])
+        flat = flat[k:]
+        if len(tail) < chunk:
+            return s_tot, tail
+        s_tot = np.add.reduce(tail, dtype=np.float64, initial=s_tot)
+    whole = len(flat) // chunk * chunk
+    s_tot = np.add.reduce(flat[:whole], dtype=np.float64, initial=s_tot)
+    return s_tot, flat[whole:].copy()
+
+
 def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     """Two-sample energy-distance test; returns (statistic, p_value).
 
-    Permutation statistics are computed from the pooled distance matrix
-    with one matrix product over all label permutations, so n up to a few
-    thousand stays fast.
+    Let D be the float32 distance matrix of the 2n pooled points. Every
+    permutation statistic follows from D @ X, where X holds one 0/1 label
+    column per permutation, so all P permutations cost one matrix product.
+    D is never held whole: it is computed in blocks of rows, each folded
+    into D @ X, D @ mask and the total of D before the next is computed.
+    Memory is O(n * P) plus one block of ENERGY_BLOCK_ELEMENTS distances
+    (at least 64 rows), and the results are bit-identical to forming D
+    whole (for a fixed BLAS thread count).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b):
         raise ValueError("permutation test assumes equal sample sizes")
+    if len(a) == 0:
+        raise ValueError("point sets must be nonempty")
+    if n_permutations < 1:
+        raise ValueError("n_permutations must be >= 1")
     n = len(a)
     pooled = np.vstack([a, b])
-    D = cdist(pooled, pooled).astype(np.float32)
-    s_tot = float(D.sum(dtype=np.float64))
+
+    mask = np.zeros(2 * n, dtype=np.float32)
+    mask[:n] = 1.0
+    rng = np.random.default_rng(seed)
+    X = np.zeros((2 * n, n_permutations), dtype=np.float32)
+    for p in range(n_permutations):
+        X[rng.permutation(2 * n)[:n], p] = 1.0
+
+    r = np.empty(2 * n, dtype=np.float32)
+    R = np.empty((2 * n, n_permutations), dtype=np.float32)
+    s_tot, tail = 0.0, np.empty(0, dtype=np.float32)
+    # heights that are not a multiple of 64 rows changed D @ mask in the
+    # float32 last bits against the whole-matrix product
+    rows = max(64, ENERGY_BLOCK_ELEMENTS // (2 * n) // 64 * 64)
+    for i0 in range(0, 2 * n, rows):
+        Db = cdist(pooled[i0:i0 + rows], pooled).astype(np.float32)
+        R[i0:i0 + rows] = Db @ X
+        r[i0:i0 + rows] = Db @ mask
+        s_tot, tail = _sum_chunks(s_tot, tail, Db.ravel())
+    s_tot = float(np.add.reduce(tail, dtype=np.float64, initial=s_tot))
 
     def stat_from_saa(s_aa, colsum):
         s_ab = colsum - s_aa
         s_bb = s_tot - 2.0 * colsum + s_aa
         return (2.0 * s_ab - s_aa - s_bb) / n ** 2
 
-    mask = np.zeros(2 * n, dtype=np.float32)
-    mask[:n] = 1.0
-    r = D @ mask
     observed = stat_from_saa(float(mask @ r), float(r.sum(dtype=np.float64)))
-
-    rng = np.random.default_rng(seed)
-    X = np.zeros((2 * n, n_permutations), dtype=np.float32)
-    for p in range(n_permutations):
-        X[rng.permutation(2 * n)[:n], p] = 1.0
-    R = D @ X
     s_aa = np.einsum("ip,ip->p", X, R, dtype=np.float64)
     colsum = R.sum(axis=0, dtype=np.float64)
     stats = stat_from_saa(s_aa, colsum)

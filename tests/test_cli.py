@@ -25,6 +25,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_eval_samples(self, n):
+        with pytest.raises(ConfigError, match="eval.samples"):
+            ExperimentConfig(eval_samples=n)
+
     def test_missing_teacher_checkpoint(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(teacher="learned:/nonexistent/ckpt.json")
@@ -148,6 +153,14 @@ class TestMainCli:
         path.write_text("method = reflow\n")
         assert main(["train", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_zero_eval_samples_exit_one_before_training(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("eval.samples = 0\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exit_one(self, capsys):
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1

@@ -1,8 +1,16 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import flowlab
 from flowlab.diag import (MismatchReport, energy_distance,
                           energy_permutation_test, expected_velocity_residual,
                           interstage_distance, teacher_trajectory_divergence,
@@ -19,6 +27,100 @@ def w2_bruteforce(a, b):
         cost = np.mean(np.sum((a - b[list(perm)]) ** 2, axis=1))
         best = min(best, cost)
     return np.sqrt(best)
+
+
+def energy_permutation_test_dense(a, b, n_permutations=1000, seed=0):
+    """Reference: the energy permutation test over the whole (2n)^2
+    distance matrix, as flowlab computed it before the row-block loop."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = len(a)
+    pooled = np.vstack([a, b])
+    D = cdist(pooled, pooled).astype(np.float32)
+    s_tot = float(D.sum(dtype=np.float64))
+
+    def stat_from_saa(s_aa, colsum):
+        s_ab = colsum - s_aa
+        s_bb = s_tot - 2.0 * colsum + s_aa
+        return (2.0 * s_ab - s_aa - s_bb) / n ** 2
+
+    mask = np.zeros(2 * n, dtype=np.float32)
+    mask[:n] = 1.0
+    r = D @ mask
+    observed = stat_from_saa(float(mask @ r), float(r.sum(dtype=np.float64)))
+
+    rng = np.random.default_rng(seed)
+    X = np.zeros((2 * n, n_permutations), dtype=np.float32)
+    for p in range(n_permutations):
+        X[rng.permutation(2 * n)[:n], p] = 1.0
+    R = D @ X
+    s_aa = np.einsum("ip,ip->p", X, R, dtype=np.float64)
+    colsum = R.sum(axis=0, dtype=np.float64)
+    stats = stat_from_saa(s_aa, colsum)
+    p_value = float((1 + np.sum(stats >= observed)) / (1 + n_permutations))
+    return observed, p_value
+
+
+ORACLE_NS = (1, 5, 512, 1000, 1024, 2049, 3001, 4096)
+ORACLE_PERMUTATIONS = (1, 200)
+# "scaled" shrinks half the points by 1e-6: the case where adding
+# per-block float64 sums, instead of numpy's chunk order, breaks the total
+ORACLE_POINT_SETS = ("gaussian", "rounded", "scaled")
+
+
+def oracle_points(n, kind):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 2))
+    b = rng.standard_normal((n, 2)) + 0.1
+    if kind == "rounded":  # duplicate points
+        a, b = np.round(a, 1), np.round(b, 1)
+    elif kind == "scaled":
+        a[: n // 2] *= 1e-6
+        b[: n // 2] *= 1e-6
+    return a, b
+
+
+def oracle_results():
+    """(n, P, kind, dense, blocked) for every oracle case."""
+    rows = []
+    for n, P, kind in itertools.product(ORACLE_NS, ORACLE_PERMUTATIONS,
+                                        ORACLE_POINT_SETS):
+        a, b = oracle_points(n, kind)
+        rows.append((n, P, kind,
+                     energy_permutation_test_dense(a, b, P, seed=n),
+                     energy_permutation_test(a, b, P, seed=n)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    # The dense reference itself changes with the BLAS thread count at some
+    # n, so both run in a child process pinned to one thread. JSON floats
+    # round-trip exactly.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    paths = [str(Path(flowlab.__file__).parents[1]), str(Path(__file__).parent)]
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, paths + [os.environ.get("PYTHONPATH")]))
+    code = (f"import json, {Path(__file__).stem} as t; "
+            "print(json.dumps(t.oracle_results()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=600).stdout
+    return {(n, P, kind): (tuple(dense), tuple(blocked))
+            for n, P, kind, dense, blocked in json.loads(out)}
+
+
+def traced_peak_bytes(n):
+    """numpy's traced allocation peak over one permutation test."""
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((n, 2))
+    b = rng.standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        energy_permutation_test(a, b, 200, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestW2Exact:
@@ -139,6 +241,30 @@ class TestEnergyPermutationTest:
     def test_unequal_sizes_rejected(self):
         with pytest.raises(ValueError):
             energy_permutation_test(np.zeros((4, 2)), np.zeros((5, 2)), 10)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            energy_permutation_test(np.zeros((0, 2)), np.zeros((0, 2)), 10)
+
+    @pytest.mark.parametrize("n_permutations", [0, -1])
+    def test_no_permutations_rejected(self, n_permutations):
+        with pytest.raises(ValueError, match="n_permutations"):
+            energy_permutation_test(np.zeros((4, 2)), np.ones((4, 2)),
+                                    n_permutations)
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_bit_identical_to_dense_reference(self, oracle_rows, n):
+        for P, kind in itertools.product(ORACLE_PERMUTATIONS,
+                                         ORACLE_POINT_SETS):
+            dense, blocked = oracle_rows[(n, P, kind)]
+            assert blocked == dense, (P, kind)
+
+    def test_memory_linear_in_n(self):
+        # the whole distance matrix would take 192 MiB at n = 2048 and grow
+        # 4x per doubling of n
+        small, large = traced_peak_bytes(1024), traced_peak_bytes(2048)
+        assert large < 64 * 2 ** 20
+        assert large < 2 * small
 
 
 class TestTrajectoryDivergence:
