@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import (StageGrid, distill_grads, sample_training_batch)
+from .distill import StageGrid, distill_grads, rollout, sample_training_batch
 from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
-                   field_features, ode_solve)
+                   field_features)
 from .netcore import (MlpParams, MlpSpec, TrainingError, adam_step, add_grads,
                       backward, forward, forward_with_hidden, init_adam,
                       init_params, zero_grads)
@@ -40,6 +40,11 @@ class AdvConfig:
             raise ValueError(f"unknown gan_kind {self.gan_kind!r}")
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("timestep_probs must be non-negative and sum to 1")
+
+    def check_stages(self, n_stages: int):
+        """One timestep probability per stage of the grid."""
+        if len(self.timestep_probs) != n_stages:
+            raise ValueError("timestep_probs length must equal the stage count")
 
 
 @dataclass
@@ -64,35 +69,26 @@ def init_discriminator(widths: tuple = None, activation: str = "silu",
     return Discriminator(init_params(MlpSpec(widths, activation, seed)))
 
 
-def disc_forward(d: Discriminator, z, sigma):
-    """Score and per-layer backbone features for states at noise level sigma."""
-    x = field_features(z, sigma)
-    y, hidden = forward_with_hidden(d.params, x)
-    return y[..., 0], hidden
-
-
 @dataclass(frozen=True)
 class TrajectoryStates:
-    """States recorded at the stage-boundary sigmas t_{K-1} .. t_0."""
+    """States recorded at the stage-boundary sigmas t_{K-1} .. t_{to_k}."""
 
-    sigmas: np.ndarray   # (K,)
-    states: np.ndarray   # (K,) + state shape
+    sigmas: np.ndarray   # (K - to_k,)
+    states: np.ndarray   # (K - to_k,) + state shape
     source: str          # "teacher" | "student"
 
 
-def trajectory_states(field, grid: StageGrid, eps,
-                      substeps_per_stage: int, source: str) -> TrajectoryStates:
-    """Solve from shared eps, recording the state at every stage boundary.
+def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
+                      source: str, to_k: int = 0) -> TrajectoryStates:
+    """Solve from shared eps down to boundary t_{to_k}, recording the state
+    at every stage boundary below the noise end.
 
     Students use substeps_per_stage = 1 (their own few-step rollout);
     teachers use many sub-steps.
     """
-    z = np.asarray(eps, dtype=np.float64)
-    states = []
-    for k in range(grid.n_stages, 0, -1):
-        z, _ = ode_solve(field, z, grid.t(k), grid.t(k - 1), substeps_per_stage)
-        states.append(z)
-    return TrajectoryStates(grid.boundaries[1:].copy(), np.stack(states), source)
+    states = rollout(field, grid, eps, grid.n_stages, to_k, substeps_per_stage)
+    return TrajectoryStates(grid.boundaries[1:len(states)].copy(),
+                            np.stack(states[1:]), source)
 
 
 def adv_loss_student(scores) -> float:
@@ -142,35 +138,20 @@ def fm_loss(teacher_features, student_features) -> float:
     return total
 
 
-def student_objective(l_dist: float, l_adv: float, l_fm: float,
-                      cfg: AdvConfig) -> float:
-    return l_dist + cfg.lambda_adv * l_adv + cfg.lambda_fm * l_fm
-
-
 def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
     """Categorical stage draw; index 1 is the highest-noise stage."""
     return int(rng.choice(len(cfg.timestep_probs), p=cfg.timestep_probs)) + 1
 
 
-def _student_rollout_with_cache(params, grid, eps, n_steps):
-    """Few-step Euler rollout caching inputs for backprop through time."""
-    z = np.asarray(eps, dtype=np.float64)
-    cache = []
-    for k in range(grid.n_stages, grid.n_stages - n_steps, -1):
-        x = field_features(z, grid.t(k))
-        v = forward(params, x)
-        dsig = grid.t(k - 1) - grid.t(k)
-        cache.append((x, dsig))
-        z = z + dsig * v
-    return z, cache
-
-
-def _backprop_rollout(params, cache, g_state):
-    """Chain dL/dz through the cached Euler steps into parameter gradients."""
+def _backprop_rollout(params, grid, states, g_state):
+    """Chain dL/dz back through the student's one-step-per-stage rollout
+    (states at t_K, t_{K-1}, ...) into parameter gradients."""
     acc = zero_grads(params)
     g = g_state
-    for x, dsig in reversed(cache):
-        grads, x_grad = backward(params, x, dsig * g)
+    for i in reversed(range(len(states) - 1)):
+        k = grid.n_stages - i
+        x = field_features(states[i], grid.t(k))
+        grads, x_grad = backward(params, x, (grid.t(k - 1) - grid.t(k)) * g)
         add_grads(acc, grads)
         g = g + x_grad[:, :2]  # time features carry no state dependence
     return acc
@@ -193,8 +174,7 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
     """
     if net is None:
         net = MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed)
-    if len(adv_cfg.timestep_probs) != grid.n_stages:
-        raise ValueError("timestep_probs length must equal the stage count")
+    adv_cfg.check_stages(grid.n_stages)
     params = init_params(net)
     state = init_adam(params, lr=cfg.learning_rate)
     rng_pairs = np.random.default_rng(cfg.seed)
@@ -215,12 +195,16 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
         if adversarial:
             eps = rng_adv.standard_normal((cfg.batch_size, 2))
             stage = sample_timestep(adv_cfg, rng_adv)
-            sigma = grid.t(grid.n_stages - stage)
-            teacher_traj = trajectory_states(teacher, grid, eps,
-                                             grid.teacher_substeps_per_stage,
-                                             "teacher")
-            real = teacher_traj.states[stage - 1]
-            fake, cache = _student_rollout_with_cache(params, grid, eps, stage)
+            to_k = grid.n_stages - stage
+            sigma = grid.t(to_k)
+            real = trajectory_states(teacher, grid, eps,
+                                     grid.teacher_substeps_per_stage,
+                                     "teacher", to_k).states[-1]
+            # the student unclipped, as distill_grads trains it
+            fake_states = rollout(
+                lambda z, s: forward(params, field_features(z, s)),
+                grid, eps, grid.n_stages, to_k, 1)
+            fake = fake_states[-1]
 
             # discriminator step: student states detached
             xr = field_features(real, sigma)
@@ -249,7 +233,8 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
                 norms = np.maximum(np.linalg.norm(diff, axis=-1, keepdims=True), 1e-12)
                 hidden_grads.append(adv_cfg.lambda_fm * diff / (n * norms))
             _, x_grad = backward(disc.params, xf, score_grad, hidden_grads)
-            add_grads(grads, _backprop_rollout(params, cache, x_grad[:, :2]))
+            add_grads(grads, _backprop_rollout(params, grid, fake_states,
+                                               x_grad[:, :2]))
 
         if not np.isfinite(l_dist + l_adv + l_fm + d_loss):
             raise TrainingError("adversarial training diverged")

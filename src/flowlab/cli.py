@@ -63,12 +63,22 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if self.eval_samples < 1:
             raise ConfigError("eval.samples must be >= 1")
+        if self.batch < 1:
+            raise ConfigError("train.batch must be >= 1")
         if self.teacher != "analytic":
             if not self.teacher.startswith("learned:"):
                 raise ConfigError(f"unknown teacher {self.teacher!r}")
             path = self.teacher.split(":", 1)[1]
             if not Path(path).exists():
                 raise ConfigError(f"teacher checkpoint {path} does not exist")
+        # the library's own validators, run before any output is written
+        try:
+            self.mixture()
+            self.grid()
+            if self.method == "ota+adv":
+                self.adv_config().check_stages(self.stages)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def mixture(self) -> MixtureSpec:
         return MixtureSpec(np.array(self.mixture_weights),
@@ -79,6 +89,9 @@ class ExperimentConfig:
         if self.teacher == "analytic":
             return AnalyticField(self.mixture())
         return LearnedField(load_params(self.teacher.split(":", 1)[1]))
+
+    def adv_config(self) -> AdvConfig:
+        return AdvConfig(self.lambda_adv, self.lambda_fm, self.gan, self.t_probs)
 
     def grid(self) -> StageGrid:
         schedule = build_base_schedule(1000, self.shift)
@@ -170,10 +183,9 @@ def _train_one(config: ExperimentConfig, seed: int, history: list):
     grid = config.grid()
     cfg = TrainConfig(config.iterations, config.batch, config.lr, seed)
     if config.method == "ota+adv":
-        adv_cfg = AdvConfig(config.lambda_adv, config.lambda_fm, config.gan,
-                            config.t_probs)
         student = train_adversarial(teacher, config.mixture(), grid,
-                                    adv_cfg=adv_cfg, cfg=cfg, history=history)
+                                    adv_cfg=config.adv_config(), cfg=cfg,
+                                    history=history)
     else:
         losses = []
         student = train_student(teacher, config.mixture(), config.method,
@@ -290,7 +302,7 @@ def compare_schedulers(config: ExperimentConfig, steps=(4, 10, 32),
             for name, sampler in (("original", sample_original),
                                   ("improved", sample_improved)):
                 sig = sampler(schedule, n_steps).sigmas
-                out, _ = solve_on_grid(field_, eps, sig)
+                out = solve_on_grid(field_, eps, sig)
                 rows[name].append(w2_exact_small(data, out))
         report["steps"][str(n_steps)] = rows
     return report

@@ -10,14 +10,12 @@ on interpolation marginals (sigma(t) = t, so sigma' = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .distill import StageGrid, ota_start
-from .flow import MixtureSpec, SIGMA_FLOOR, interpolate, ode_solve, sample_mixture
+from .distill import StageGrid, rollout
+from .flow import MixtureSpec, SIGMA_FLOOR, interpolate, sample_mixture
 
 W2_MAX_POINTS = 256
 ENERGY_BLOCK_ELEMENTS = 2 ** 20  # distances per row block (8 MiB in float64)
@@ -124,47 +122,6 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     return observed, p_value
 
 
-@dataclass
-class MismatchReport:
-    """Per-boundary mismatch diagnostics plus the run bookkeeping."""
-
-    boundaries: list = field(default_factory=list)
-    divergence_mean: list = field(default_factory=list)
-    divergence_se: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    p_value: list = field(default_factory=list)
-    w2: list = field(default_factory=list)
-    velocity_residuals: dict = field(default_factory=dict)
-    n_samples: int = 0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        rows = []
-        for i, bnd in enumerate(self.boundaries):
-            row = {"boundary": bnd}
-            for name, vals in (("divergence_mean", self.divergence_mean),
-                               ("divergence_se", self.divergence_se),
-                               ("energy_distance", self.energy),
-                               ("p_value", self.p_value),
-                               ("w2", self.w2)):
-                if i < len(vals):
-                    row[name] = vals[i]
-            rows.append(row)
-        return {"boundaries": rows,
-                "velocity_residuals": self.velocity_residuals,
-                "n_samples": self.n_samples, "seed": self.seed}
-
-
-def _stagewise_states(field_, grid, z):
-    """States at every boundary below 1, solving stage by stage."""
-    states = []
-    for k in range(grid.n_stages, 0, -1):
-        z, _ = ode_solve(field_, z, grid.t(k), grid.t(k - 1),
-                         grid.teacher_substeps_per_stage)
-        states.append(z)
-    return states  # at t_{K-1} .. t_0
-
-
 def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
                                   seed: int = 0):
     """Mean L2 gap between continuous and piecewise-reinitialized trajectories.
@@ -185,15 +142,14 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
         return np.array([]), np.array([]), np.array([])
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n, 2))
-    continuous = _stagewise_states(teacher, grid, eps)
+    K, substeps = grid.n_stages, grid.teacher_substeps_per_stage
+    continuous = rollout(teacher, grid, eps, K, 0, substeps)[1:]
     z0_true = continuous[-1][rng.permutation(n)]
 
     piecewise = []
-    for k in range(grid.n_stages, 0, -1):
-        start = eps if k == grid.n_stages else interpolate(z0_true, eps, grid.t(k))
-        z, _ = ode_solve(teacher, start, grid.t(k), grid.t(k - 1),
-                         grid.teacher_substeps_per_stage)
-        piecewise.append(z)
+    for k in range(K, 0, -1):
+        start = eps if k == K else interpolate(z0_true, eps, grid.t(k))
+        piecewise.append(rollout(teacher, grid, start, k, k - 1, substeps)[-1])
 
     boundaries = grid.boundaries[1:]
     gaps = [np.linalg.norm(c - p, axis=1) for c, p in zip(continuous, piecewise)]
@@ -224,19 +180,20 @@ def interstage_distance(teacher, student, grid: StageGrid, n: int,
     z0 = sample_mixture(data, n, rng)
     eps_infer = rng.standard_normal((n, 2))
 
+    K = grid.n_stages
+    if method == "perflow":
+        a_sets = [interpolate(z0, eps_train, grid.t(k))
+                  for k in range(K - 1, 0, -1)]
+    elif method == "ota":
+        a_sets = rollout(teacher, grid, eps_train, K, 1,
+                         grid.teacher_substeps_per_stage)[1:]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     # inference-time inputs: student's own previous-stage outputs
-    z = eps_infer.copy()
+    b_sets = rollout(student, grid, eps_infer, K, 1, 1)[1:]
     results = []
-    for k in range(grid.n_stages, 1, -1):
-        v = student(z, grid.t(k))
-        z = z + (grid.t(k - 1) - grid.t(k)) * v
+    for k, a_set, z in zip(range(K, 1, -1), a_sets, b_sets):
         t_b = grid.t(k - 1)
-        if method == "perflow":
-            a_set = interpolate(z0, eps_train, t_b)
-        elif method == "ota":
-            a_set = ota_start(teacher, eps_train, k - 1, grid)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         stat, p = energy_permutation_test(a_set, z, n_permutations,
                                           seed=seed + k)
         m = min(W2_MAX_POINTS, n)

@@ -1,6 +1,9 @@
-"""Stage grids, distillation pair construction, student training, inference.
+"""Stage grids, the stage rollout, training pairs, student training, inference.
 
-Two ways to build the start state z_{t_k} of a stage:
+`rollout` solves a field stage by stage between two boundaries of a grid;
+OTA starts, the adversarial trajectories, few-step inference and the
+diagnostics all use it. `sample_training_batch` is the one pair builder.
+It makes the start state z_{t_k} of a stage in one of two ways:
   * perflow: linear interpolation of data and noise (off-trajectory);
   * ota: solve the teacher's ODE from noise down to t_k (on-trajectory).
 Both then evolve the teacher over the stage and regress the student onto
@@ -17,7 +20,7 @@ from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
                    field_features, interpolate, ode_solve, sample_mixture)
 from .netcore import (MlpSpec, TrainingError, adam_step, backward, forward,
                       init_adam, init_params)
-from .sched import build_base_schedule, sample_improved, step_euler
+from .sched import build_base_schedule, sample_improved
 
 
 @dataclass(frozen=True)
@@ -48,20 +51,6 @@ class StageGrid:
         return float(self.boundaries[self.n_stages - k])
 
 
-@dataclass(frozen=True)
-class DistillPair:
-    """One training pair: stage endpoints, constant target velocity, and an
-    interior state sampled uniformly inside the stage."""
-
-    stage: int
-    start: np.ndarray       # z_{t_k}
-    end: np.ndarray         # z_{t_{k-1}}
-    v_target: np.ndarray
-    t: float
-    z_t: np.ndarray
-    provenance: str         # "perflow_offtrajectory" | "ota_ontrajectory"
-
-
 def default_grid(n_stages: int, shift: float = 1.0,
                  teacher_substeps_per_stage: int = 8) -> StageGrid:
     """Boundaries from the improved sampler so training and inference share
@@ -72,57 +61,20 @@ def default_grid(n_stages: int, shift: float = 1.0,
     return StageGrid(sig.sigmas, teacher_substeps_per_stage)
 
 
-def ota_start(teacher, eps, k: int, grid: StageGrid) -> np.ndarray:
-    """On-trajectory stage start: per-stage teacher solves from sigma = 1
-    down to t_k on the aligned sub-grid (concatenation equals one continuous
-    solve bitwise)."""
-    z = np.asarray(eps, dtype=np.float64)
-    for j in range(grid.n_stages, k, -1):
-        z, _ = ode_solve(teacher, z, grid.t(j), grid.t(j - 1),
-                         grid.teacher_substeps_per_stage)
-    return z
-
-
-def _finish_pair(teacher, start, k, grid, rng, provenance):
-    t_hi, t_lo = grid.t(k), grid.t(k - 1)
-    end, _ = ode_solve(teacher, start, t_hi, t_lo, grid.teacher_substeps_per_stage)
-    v_target = (end - start) / (t_lo - t_hi)
-    t = float(rng.uniform(t_lo, t_hi))
-    z_t = start + (t - t_hi) / (t_lo - t_hi) * (end - start)
-    return DistillPair(k, start, end, v_target, t, z_t, provenance)
-
-
-def make_pair_perflow(teacher, z0, eps, k: int, grid: StageGrid,
-                      rng: np.random.Generator) -> DistillPair:
-    """Off-trajectory pair: stage start interpolated from data and noise."""
-    if not 1 <= k <= grid.n_stages:
-        raise ValueError(f"stage {k} out of range")
-    start = interpolate(np.asarray(z0, dtype=np.float64),
-                        np.asarray(eps, dtype=np.float64), grid.t(k))
-    return _finish_pair(teacher, start, k, grid, rng, "perflow_offtrajectory")
-
-
-def make_pair_ota(teacher, eps, k: int, grid: StageGrid,
-                  rng: np.random.Generator) -> DistillPair:
-    """On-trajectory pair: stage start from the teacher's own ODE."""
-    if not 1 <= k <= grid.n_stages:
-        raise ValueError(f"stage {k} out of range")
-    start = ota_start(teacher, eps, k, grid)
-    return _finish_pair(teacher, start, k, grid, rng, "ota_ontrajectory")
-
-
-def distill_loss(student, pairs) -> float:
-    """Mean || v_S(z_t, t) - v* ||^2 over a batch of pairs."""
-    if len(pairs) == 0:
-        raise ValueError("need a nonempty batch of pairs")
-    z_t = np.stack([p.z_t for p in pairs])
-    t = np.array([p.t for p in pairs])
-    v_t = np.stack([p.v_target for p in pairs])
-    resid = student(z_t, t) - v_t
-    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite distillation loss")
-    return loss
+def rollout(field, grid: StageGrid, z, from_k: int, to_k: int,
+            substeps: int) -> list:
+    """Solve from boundary t_{from_k} down to t_{to_k}, one `substeps`-step
+    ode_solve per stage; returns the states at t_{from_k}, ..., t_{to_k},
+    the start included. Solving stage by stage on each stage's own sub-grid
+    keeps every partial rollout a bitwise prefix of the full one."""
+    if not 0 <= to_k <= from_k <= grid.n_stages:
+        raise ValueError(f"need 0 <= to_k <= from_k <= {grid.n_stages}, "
+                         f"got {from_k} -> {to_k}")
+    states = [np.asarray(z, dtype=np.float64)]
+    for k in range(from_k, to_k, -1):
+        states.append(ode_solve(field, states[-1], grid.t(k), grid.t(k - 1),
+                                substeps))
+    return states
 
 
 def sample_training_batch(teacher, data: MixtureSpec, method: str,
@@ -137,11 +89,12 @@ def sample_training_batch(teacher, data: MixtureSpec, method: str,
         start = interpolate(z0, eps, grid.t(k))
     elif method == "ota":
         eps = rng.standard_normal((batch, 2))
-        start = ota_start(teacher, eps, k, grid)
+        start = rollout(teacher, grid, eps, grid.n_stages, k,
+                        grid.teacher_substeps_per_stage)[-1]
     else:
         raise ValueError(f"unknown method {method!r}")
     t_hi, t_lo = grid.t(k), grid.t(k - 1)
-    end, _ = ode_solve(teacher, start, t_hi, t_lo, grid.teacher_substeps_per_stage)
+    end = ode_solve(teacher, start, t_hi, t_lo, grid.teacher_substeps_per_stage)
     v_target = (end - start) / (t_lo - t_hi)
     t = rng.uniform(t_lo, t_hi, batch)
     z_t = start + ((t - t_hi) / (t_lo - t_hi))[:, None] * (end - start)
@@ -182,10 +135,7 @@ def train_student(teacher, data: MixtureSpec, method: str, grid: StageGrid,
 
 def infer_few_step(student, grid: StageGrid, eps) -> np.ndarray:
     """K Euler steps, one per stage, evaluated at stage-boundary sigmas."""
-    z = np.asarray(eps, dtype=np.float64)
-    for k in range(grid.n_stages, 0, -1):
-        v = student(z, grid.t(k))
-        z = step_euler(z, v, grid.t(k), grid.t(k - 1))
+    z = rollout(student, grid, eps, grid.n_stages, 0, 1)[-1]
     if not np.all(np.isfinite(z)):
         raise TrainingError("non-finite state during inference")
     return z

@@ -1,10 +1,12 @@
-"""2D data distributions, the analytic mixture teacher, and ODE solving.
+"""2D data distributions, the analytic mixture teacher, and the ODE solver.
 
 The teacher velocity field is the exact marginal field for the linear
 interpolation path z_sigma = (1-sigma) z0 + sigma eps over an isotropic
 Gaussian mixture: v(z, sigma) = (z - E[x | z_sigma = z]) / sigma, with the
 posterior mean computed in closed form per component. Time convention is
-sigma(t) = t on [0, 1].
+sigma(t) = t on [0, 1]. `solve_on_grid` is the package's one Euler loop;
+`ode_solve` is its equal-step wrapper, and the stage-level rollout in
+`distill` is built on it.
 """
 
 from __future__ import annotations
@@ -64,38 +66,9 @@ def point_mass(mu) -> MixtureSpec:
 
 
 def sample_mixture(spec: MixtureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from the mixture, deterministic given the rng state."""
     comp = rng.choice(len(spec.weights), size=n, p=spec.weights)
     return spec.means[comp] + spec.stds[comp, None] * rng.standard_normal((n, 2))
-
-
-def _sample_two_moons(n, rng):
-    theta = rng.uniform(0.0, np.pi, n)
-    upper = rng.integers(0, 2, n).astype(bool)
-    x = np.where(upper, np.cos(theta), 1.0 - np.cos(theta))
-    y = np.where(upper, np.sin(theta), 0.5 - np.sin(theta))
-    pts = np.stack([x, y], axis=1)
-    return pts + 0.05 * rng.standard_normal((n, 2))
-
-
-def _sample_checkerboard(n, rng):
-    x1 = rng.uniform(-2.0, 2.0, n)
-    x2 = rng.uniform(0.0, 1.0, n) + (np.floor(x1) % 2) - rng.integers(0, 2, n) * 2.0
-    return np.stack([x1, x2], axis=1) * 2.0
-
-
-_NAMED_SETS = {"two_moons": _sample_two_moons, "checkerboard": _sample_checkerboard}
-
-
-def sample_data(spec, n: int, seed: int = 0) -> np.ndarray:
-    """i.i.d. 2D draws from a MixtureSpec or a named set, seed-deterministic."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(spec, MixtureSpec):
-        return sample_mixture(spec, n, rng)
-    if isinstance(spec, str) and spec in _NAMED_SETS:
-        return _NAMED_SETS[spec](n, rng)
-    raise ValueError(f"unknown data spec {spec!r}")
 
 
 def interpolate(z0, eps, sigma):
@@ -182,30 +155,21 @@ class LearnedField:
         return forward(self.params, field_features(z, sig))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered (sigma, state) pairs along one ODE solve."""
-
-    sigmas: np.ndarray  # (steps + 1,)
-    states: np.ndarray  # (steps + 1,) + state shape
-
-
 def solve_on_grid(field, z, sigmas):
-    """Euler steps over an explicit descending sigma grid."""
+    """Euler steps over an explicit descending sigma grid; the final state."""
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if np.any(np.diff(sigmas) >= 0):
         raise ValueError("sigma grid must be strictly decreasing")
     z = np.asarray(z, dtype=np.float64)
-    states = [z]
     for s_from, s_to in zip(sigmas[:-1], sigmas[1:]):
         v = field(z, s_from)
         z = z + (s_to - s_from) * v
-        states.append(z)
-    return z, Trajectory(sigmas, np.stack(states))
+    return z
 
 
 def ode_solve(field, z, sigma_from: float, sigma_to: float, n_substeps: int):
-    """n_substeps equal-width Euler steps from sigma_from down to sigma_to."""
+    """n_substeps equal-width Euler steps from sigma_from down to sigma_to;
+    the final state."""
     if sigma_to >= sigma_from:
         raise ValueError("need sigma_to < sigma_from")
     if sigma_to < 0:

@@ -1,10 +1,11 @@
-"""Noise schedules, few-step sigma sampling, and Euler stepping.
+"""Noise schedules and few-step sigma sampling.
 
 Two samplers are provided for drawing N inference sigmas from a full
 training schedule: the original one (samples N sigmas, then appends 0,
 producing a disproportionately small final step) and the improved one
 (appends 0 to the schedule first, then samples N+1 points evenly so every
-step interval stays proportional).
+step interval stays proportional). Stepping along these sigmas is
+`flow.solve_on_grid`'s job.
 """
 
 from __future__ import annotations
@@ -113,15 +114,6 @@ def sample_improved(schedule: SigmaSchedule, n_steps: int) -> InferenceSigmas:
     # ties away from zero; indices are non-negative so floor(x + 0.5) does it
     idx = np.floor(np.linspace(0.0, T, n_steps + 1) + 0.5).astype(int)
     return InferenceSigmas(full[idx], "improved")
-
-
-def step_euler(z, v, sigma_from: float, sigma_to: float):
-    """One Euler step of dz/dsigma = v from sigma_from down to sigma_to."""
-    if sigma_to >= sigma_from:
-        raise ValueError(f"need sigma_to < sigma_from, got {sigma_from} -> {sigma_to}")
-    z = np.asarray(z, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return z + (sigma_to - sigma_from) * v
 
 
 def format_sigmas(sigmas) -> str:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from flowlab.adv import (AdvConfig, adv_loss_student, disc_forward,
-                         disc_loss, fm_loss, init_discriminator,
-                         sample_timestep, student_objective,
+import flowlab.adv
+from flowlab.adv import (AdvConfig, adv_loss_student, disc_loss, fm_loss,
+                         init_discriminator, sample_timestep,
                          train_adversarial, trajectory_states)
-from flowlab.distill import default_grid, train_student
-from flowlab.flow import AnalyticField, TrainConfig, default_benchmark
+from flowlab.distill import (default_grid, rollout, sample_training_batch,
+                             train_student)
+from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
+                          field_features, ode_solve)
+from flowlab.netcore import forward_with_hidden
 
 
 class TestAdvConfig:
@@ -74,10 +77,6 @@ class TestLossArithmetic:
         with pytest.raises(ValueError):
             fm_loss([np.ones((2, 3))], [np.ones((2, 4))])
 
-    def test_student_objective(self):
-        cfg = AdvConfig(lambda_adv=0.5, lambda_fm=2.0)
-        assert student_objective(1.0, 4.0, 0.25, cfg) == 3.5
-
 
 class TestSampleTimestep:
     def test_degenerate_distribution(self):
@@ -109,9 +108,19 @@ class TestDiscriminator:
     def test_forward_shapes(self):
         d = init_discriminator(widths=(5, 16, 8, 1))
         z = np.random.default_rng(2).standard_normal((6, 2))
-        score, feats = disc_forward(d, z, 0.5)
-        assert score.shape == (6,)
+        score, feats = forward_with_hidden(d.params, field_features(z, 0.5))
+        assert score.shape == (6, 1)
         assert [f.shape for f in feats] == [(6, 16), (6, 8)]
+
+
+def per_stage_reference(teacher, grid, eps, substeps):
+    """States at t_{K-1} .. t_0 from one ode_solve per stage."""
+    states, z = [], eps
+    for j in range(grid.n_stages):
+        z = ode_solve(teacher, z, grid.boundaries[j], grid.boundaries[j + 1],
+                      substeps)
+        states.append(z)
+    return states
 
 
 class TestTrajectoryStates:
@@ -122,18 +131,55 @@ class TestTrajectoryStates:
         traj = trajectory_states(teacher, grid, eps, 8, "teacher")
         assert traj.states.shape == (4, 8, 2)
         assert np.array_equal(traj.sigmas, grid.boundaries[1:])
+        assert np.array_equal(traj.states,
+                              np.stack(rollout(teacher, grid, eps, 4, 0, 8)[1:]))
 
     def test_consistent_with_direct_solve(self):
-        from flowlab.flow import ode_solve
+        # stopping early at t_{to_k} records a bitwise prefix of the full
+        # per-stage solve
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4)
         eps = np.random.default_rng(4).standard_normal((8, 2))
-        traj = trajectory_states(teacher, grid, eps, 8, "teacher")
-        z = eps
-        for j in range(4):
-            z, _ = ode_solve(teacher, z, grid.boundaries[j],
-                             grid.boundaries[j + 1], 8)
-            assert np.array_equal(traj.states[j], z)
+        reference = per_stage_reference(teacher, grid, eps, 8)
+        for to_k in range(4):
+            traj = trajectory_states(teacher, grid, eps, 8, "teacher", to_k)
+            assert len(traj.states) == len(traj.sigmas) == 4 - to_k
+            assert np.array_equal(traj.sigmas, grid.boundaries[1:5 - to_k])
+            for j, state in enumerate(traj.states):
+                assert np.array_equal(state, reference[j])
+
+
+class CountingField:
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def __call__(self, z, sigma):
+        self.calls += 1
+        return self.field(z, sigma)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_teacher_solved_only_down_to_sampled_boundary(stage, monkeypatch):
+    # outside the pair builder, one adversarial iteration evaluates the
+    # teacher substeps x stage times: down to the sampled boundary, no further
+    teacher = CountingField(AnalyticField(default_benchmark()))
+    in_pairs = []
+
+    def counted_batch(*args, **kwargs):
+        before = teacher.calls
+        out = sample_training_batch(*args, **kwargs)
+        in_pairs.append(teacher.calls - before)
+        return out
+
+    monkeypatch.setattr(flowlab.adv, "sample_training_batch", counted_batch)
+    grid = default_grid(4, teacher_substeps_per_stage=8)
+    probs = tuple(float(s == stage) for s in range(1, 5))
+    train_adversarial(teacher, default_benchmark(), grid,
+                      adv_cfg=AdvConfig(timestep_probs=probs),
+                      cfg=TrainConfig(iterations=1, batch_size=8))
+    assert len(in_pairs) == 1
+    assert teacher.calls - in_pairs[0] == 8 * stage
 
 
 class TestBitIdentityContract:

@@ -162,6 +162,25 @@ class TestMainCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config_text", [
+        (["--method", "ota+adv", "--stages", "3"], ""),
+        (["--stages", "0"], ""),
+        (["--batch", "0"], ""),
+        ([], "method = ota+adv\nadv.gan = foo\n"),
+        ([], "mixture.weights = 0.5,0.4\n"),
+    ], ids=["adv-stage-count", "zero-stages", "zero-batch", "unknown-gan",
+            "weights-sum"])
+    def test_invalid_config_exit_one_before_output(self, tmp_path, capsys,
+                                                   flags, config_text):
+        path = tmp_path / "c.cfg"
+        path.write_text(config_text)
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(path), "--out", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
     def test_missing_config_file_exit_one(self, capsys):
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1
 

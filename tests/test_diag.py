@@ -11,10 +11,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import flowlab
-from flowlab.diag import (MismatchReport, energy_distance,
-                          energy_permutation_test, expected_velocity_residual,
-                          interstage_distance, teacher_trajectory_divergence,
-                          w2_exact_small)
+from flowlab.diag import (energy_distance, energy_permutation_test,
+                          expected_velocity_residual, interstage_distance,
+                          teacher_trajectory_divergence, w2_exact_small)
 from flowlab.distill import default_grid, train_student
 from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
                           point_mass)
@@ -363,16 +362,3 @@ class TestVelocityResidual:
             expected_velocity_residual(AnalyticField(default_benchmark()),
                                        default_benchmark(), 0.0, 10)
 
-
-class TestMismatchReport:
-    def test_to_dict_row_alignment(self):
-        rep = MismatchReport(boundaries=[0.75, 0.5],
-                             divergence_mean=[0.0, 0.1],
-                             divergence_se=[0.0, 0.01],
-                             energy=[0.2], p_value=[0.03], w2=[0.5],
-                             n_samples=100, seed=7)
-        d = rep.to_dict()
-        assert len(d["boundaries"]) == 2
-        assert d["boundaries"][0]["energy_distance"] == 0.2
-        assert "energy_distance" not in d["boundaries"][1]
-        assert d["n_samples"] == 100

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from flowlab.distill import (DistillPair, StageGrid, default_grid,
-                             distill_grads, distill_loss, infer_few_step,
-                             make_pair_ota, make_pair_perflow, ota_start,
-                             sample_training_batch, train_student)
+from flowlab.distill import (StageGrid, default_grid, distill_grads,
+                             infer_few_step, rollout, sample_training_batch,
+                             train_student)
 from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
-                          interpolate, ode_solve, point_mass, sample_mixture)
-from flowlab.netcore import MlpSpec
+                          field_features, interpolate, ode_solve, point_mass,
+                          sample_mixture)
+from flowlab.netcore import MlpSpec, TrainingError, forward, init_params
 
 
 class TestStageGrid:
@@ -45,59 +45,64 @@ class TestStageGrid:
         assert np.array_equal(grid.boundaries, sig)
 
 
+def replay_batch(method, seed, grid, batch=8):
+    """One sample_training_batch draw, plus its stage index and the stage
+    endpoints rebuilt independently from the same rng stream through
+    interpolate (perflow starts) and rollout (ota starts, stage ends)."""
+    teacher, spec = AnalyticField(default_benchmark()), default_benchmark()
+    z_t, t, v = sample_training_batch(teacher, spec, method, grid, batch,
+                                      np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, grid.n_stages + 1))
+    substeps = grid.teacher_substeps_per_stage
+    if method == "perflow":
+        z0 = sample_mixture(spec, batch, rng)
+        start = interpolate(z0, rng.standard_normal((batch, 2)), grid.t(k))
+    else:
+        start = rollout(teacher, grid, rng.standard_normal((batch, 2)),
+                        grid.n_stages, k, substeps)[-1]
+    end = rollout(teacher, grid, start, k, k - 1, substeps)[-1]
+    return k, start, end, z_t, t, v
+
+
 class TestPairInvariants:
     """Both constructions must satisfy the defining identities exactly."""
 
-    def _check(self, pair, grid):
-        t_hi, t_lo = grid.t(pair.stage), grid.t(pair.stage - 1)
-        assert t_lo <= pair.t <= t_hi
-        # constant-velocity identity: v* = (end - start) / (t_lo - t_hi)
-        v = (pair.end - pair.start) / (t_lo - t_hi)
-        assert np.max(np.abs(v - pair.v_target)) <= 1e-12
-        # interior state lies on the chord
-        lam = (pair.t - t_hi) / (t_lo - t_hi)
-        chord = pair.start + lam * (pair.end - pair.start)
-        assert np.max(np.abs(chord - pair.z_t)) <= 1e-12
+    def _check(self, method, seeds):
+        grid = default_grid(4)
+        stages = set()
+        for seed in seeds:
+            k, start, end, z_t, t, v = replay_batch(method, seed, grid)
+            stages.add(k)
+            t_hi, t_lo = grid.t(k), grid.t(k - 1)
+            assert np.all((t_lo <= t) & (t <= t_hi))
+            # constant-velocity identity: v* = (end - start) / (t_lo - t_hi)
+            assert np.max(np.abs((end - start) / (t_lo - t_hi) - v)) <= 1e-12
+            # interior state lies on the chord
+            lam = ((t - t_hi) / (t_lo - t_hi))[:, None]
+            chord = start + lam * (end - start)
+            assert np.max(np.abs(chord - z_t)) <= 1e-12
+        assert stages == {1, 2, 3, 4}
 
     def test_perflow_pairs(self):
-        teacher = AnalyticField(default_benchmark())
-        grid = default_grid(4)
-        rng = np.random.default_rng(0)
-        for k in range(1, 5):
-            z0 = sample_mixture(default_benchmark(), 8, rng)
-            eps = rng.standard_normal((8, 2))
-            pair = make_pair_perflow(teacher, z0, eps, k, grid, rng)
-            assert pair.provenance == "perflow_offtrajectory"
-            self._check(pair, grid)
+        self._check("perflow", range(12))
 
     def test_ota_pairs(self):
-        teacher = AnalyticField(default_benchmark())
-        grid = default_grid(4)
-        rng = np.random.default_rng(1)
-        for k in range(1, 5):
-            eps = rng.standard_normal((8, 2))
-            pair = make_pair_ota(teacher, eps, k, grid, rng)
-            assert pair.provenance == "ota_ontrajectory"
-            self._check(pair, grid)
+        self._check("ota", range(12))
 
     def test_perflow_start_is_interpolation(self):
-        teacher = AnalyticField(default_benchmark())
+        # the batch's chord, extended back to t_k, starts at interpolate(...)
         grid = default_grid(4)
-        rng = np.random.default_rng(2)
-        z0 = sample_mixture(default_benchmark(), 8, rng)
-        eps = rng.standard_normal((8, 2))
-        pair = make_pair_perflow(teacher, z0, eps, 3, grid, rng)
-        assert np.array_equal(pair.start, interpolate(z0, eps, grid.t(3)))
+        k, start, _, z_t, t, v = replay_batch("perflow", 2, grid)
+        recovered = z_t - (t - grid.t(k))[:, None] * v
+        assert np.max(np.abs(recovered - start)) <= 1e-12
 
     def test_stage_out_of_range(self):
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4)
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            make_pair_ota(teacher, np.zeros((2, 2)), 5, grid, rng)
-        with pytest.raises(ValueError):
-            make_pair_perflow(teacher, np.zeros((2, 2)), np.zeros((2, 2)),
-                              0, grid, rng)
+        for from_k, to_k in ((5, 4), (4, -1), (2, 3)):
+            with pytest.raises(ValueError):
+                rollout(teacher, grid, np.zeros((2, 2)), from_k, to_k, 8)
 
 
 class TestOtaConcatenation:
@@ -109,19 +114,21 @@ class TestOtaConcatenation:
         rng = np.random.default_rng(4)
         eps = rng.standard_normal((32, 2))
         for k in range(0, 4):
-            stagewise = ota_start(teacher, eps, k, grid)
+            stagewise = rollout(teacher, grid, eps, 4, k, 8)
             sub = grid.boundaries[: 4 - k + 1]
             z = eps
+            assert np.array_equal(stagewise[0], z)
             for j in range(len(sub) - 1):
-                z, _ = ode_solve(teacher, z, sub[j], sub[j + 1], 8)
-            assert np.array_equal(stagewise, z)
+                z = ode_solve(teacher, z, sub[j], sub[j + 1], 8)
+                assert np.array_equal(stagewise[j + 1], z)
+            assert len(stagewise) == len(sub)
 
     def test_ota_start_at_noise_end_is_identity(self):
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4)
         eps = np.random.default_rng(5).standard_normal((8, 2))
-        out = ota_start(teacher, eps, 4, grid)
-        assert np.array_equal(out, eps)
+        out = rollout(teacher, grid, eps, 4, 4, 8)
+        assert len(out) == 1 and np.array_equal(out[0], eps)
 
 
 class TestPointMassEquivalence:
@@ -134,12 +141,13 @@ class TestPointMassEquivalence:
         eps = np.random.default_rng(6).standard_normal((16, 2))
         z0 = np.broadcast_to(mu, (16, 2))
         for k in range(1, 5):
-            rng_a = np.random.default_rng(7)
-            rng_b = np.random.default_rng(7)
-            pa = make_pair_perflow(teacher, z0, eps, k, grid, rng_a)
-            pb = make_pair_ota(teacher, eps, k, grid, rng_b)
-            assert np.max(np.abs(pa.start - pb.start)) <= 1e-9
-            assert np.max(np.abs(pa.v_target - pb.v_target)) <= 1e-9
+            pa = interpolate(z0, eps, grid.t(k))
+            pb = rollout(teacher, grid, eps, 4, k, 8)[-1]
+            assert np.max(np.abs(pa - pb)) <= 1e-9
+            ends = [rollout(teacher, grid, s, k, k - 1, 8)[-1] for s in (pa, pb)]
+            va, vb = ((e - s) / (grid.t(k - 1) - grid.t(k))
+                      for e, s in zip(ends, (pa, pb)))
+            assert np.max(np.abs(va - vb)) <= 1e-9
 
     def test_mixture_constructions_differ(self):
         # with a curved field the two stage starts genuinely disagree below
@@ -149,35 +157,39 @@ class TestPointMassEquivalence:
         rng = np.random.default_rng(8)
         z0 = sample_mixture(default_benchmark(), 64, rng)
         eps = rng.standard_normal((64, 2))
-        pa = make_pair_perflow(teacher, z0, eps, 2, grid, rng)
-        pb = make_pair_ota(teacher, eps, 2, grid, rng)
-        gap = np.mean(np.linalg.norm(pa.start - pb.start, axis=1))
+        pa = interpolate(z0, eps, grid.t(2))
+        pb = rollout(teacher, grid, eps, 4, 2, 8)[-1]
+        gap = np.mean(np.linalg.norm(pa - pb, axis=1))
         assert gap > 1e-2
 
 
 class TestDistillLoss:
+    """The loss distill_grads returns: mean || v_S(z_t, t) - v* ||^2."""
+
     def test_zero_for_perfect_student(self):
-        grid = default_grid(2)
-        pair = DistillPair(1, np.zeros(2), np.ones(2), np.array([1.0, 1.0]),
-                           0.25, np.full(2, 0.5), "perflow_offtrajectory")
-
-        def student(z, t):
-            return np.broadcast_to([1.0, 1.0], np.atleast_2d(z).shape)
-
-        assert distill_loss(student, [pair]) == 0.0
+        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        rng = np.random.default_rng(11)
+        z_t, t = rng.standard_normal((4, 2)), rng.uniform(0.1, 0.9, 4)
+        v = forward(params, field_features(z_t, t))
+        loss, grads = distill_grads(params, z_t, t, v)
+        assert loss == 0.0
+        assert all(not np.any(g) for part in grads for g in part)
 
     def test_known_arithmetic(self):
-        pair = DistillPair(1, np.zeros(2), np.ones(2), np.array([0.0, 0.0]),
-                           0.25, np.full(2, 0.5), "perflow_offtrajectory")
-
-        def student(z, t):
-            return np.broadcast_to([3.0, 4.0], np.atleast_2d(z).shape)
-
-        assert distill_loss(student, [pair]) == 25.0
+        # all-zero weights: the output is the last bias for every input
+        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        params.weights = [np.zeros_like(w) for w in params.weights]
+        params.biases[-1] = np.array([3.0, 4.0])
+        loss, _ = distill_grads(params, np.zeros((2, 2)), np.full(2, 0.25),
+                                np.zeros((2, 2)))
+        assert loss == 25.0
 
     def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            distill_loss(lambda z, t: z, [])
+        # an empty batch has no mean loss; training stops instead of stepping
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingError):
+            train_student(AnalyticField(default_benchmark()),
+                          default_benchmark(), "ota", default_grid(4),
+                          cfg=TrainConfig(iterations=1, batch_size=0))
 
 
 class TestSampleTrainingBatch:
@@ -200,7 +212,6 @@ class TestSampleTrainingBatch:
 
 class TestDistillGrads:
     def test_gradient_matches_finite_differences(self):
-        from flowlab.netcore import init_params
         params = init_params(MlpSpec((5, 8, 2), "silu", 0))
         rng = np.random.default_rng(10)
         z_t = rng.standard_normal((4, 2))
@@ -279,6 +290,6 @@ class TestInferFewStep:
         out = infer_few_step(teacher, grid, eps)
         z = eps
         for j in range(4):
-            z, _ = ode_solve(teacher, z, grid.boundaries[j],
-                             grid.boundaries[j + 1], 1)
+            z = ode_solve(teacher, z, grid.boundaries[j],
+                          grid.boundaries[j + 1], 1)
         assert np.array_equal(out, z)

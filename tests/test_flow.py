@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from flowlab.distill import StageGrid, rollout
 from flowlab.flow import (AnalyticField, MixtureSpec,
                           SIGMA_FLOOR, TrainConfig, analytic_velocity,
                           default_benchmark, interpolate, ode_solve,
-                          point_mass, sample_data, sample_mixture,
-                          train_flow_matching)
+                          point_mass, sample_mixture, train_flow_matching)
 from flowlab.netcore import MlpSpec
 
 
@@ -39,38 +39,29 @@ class TestMixtureSpec:
 
 class TestSampleData:
     def test_point_mass(self):
-        pts = sample_data(point_mass([1.5, -2.0]), 100, seed=0)
+        pts = sample_mixture(point_mass([1.5, -2.0]), 100,
+                             np.random.default_rng(0))
         assert np.all(pts == [1.5, -2.0])
 
     def test_single_gaussian_clt(self):
         spec = MixtureSpec(np.array([1.0]), np.array([[1.0, -1.0]]),
                            np.array([0.7]))
         n = 10 ** 5
-        pts = sample_data(spec, n, seed=1)
+        pts = sample_mixture(spec, n, np.random.default_rng(1))
         bound = 4.0 * 0.7 / np.sqrt(n)
         assert np.all(np.abs(pts.mean(axis=0) - [1.0, -1.0]) < bound)
 
     def test_benchmark_mixture_clt(self):
         n = 10 ** 5
-        pts = sample_data(default_benchmark(), n, seed=2)
+        pts = sample_mixture(default_benchmark(), n, np.random.default_rng(2))
         # per-coordinate std of the mixture is bounded by sqrt(4 + 0.09)
         bound = 4.0 * np.sqrt(4.09) / np.sqrt(n)
         assert np.all(np.abs(pts.mean(axis=0)) < bound)
 
-    def test_named_sets(self):
-        for name in ("two_moons", "checkerboard"):
-            pts = sample_data(name, 500, seed=3)
-            assert pts.shape == (500, 2)
-            assert np.all(np.isfinite(pts))
-
     def test_determinism(self):
-        a = sample_data(default_benchmark(), 64, seed=9)
-        b = sample_data(default_benchmark(), 64, seed=9)
+        a = sample_mixture(default_benchmark(), 64, np.random.default_rng(9))
+        b = sample_mixture(default_benchmark(), 64, np.random.default_rng(9))
         assert np.array_equal(a, b)
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            sample_data("spiral", 10, seed=0)
 
 
 class TestInterpolate:
@@ -151,13 +142,13 @@ class TestOdeSolve:
         field = AnalyticField(point_mass(mu))
         eps = np.array([0.3, 0.8])
         for n in (1, 7, 64):
-            end, _ = ode_solve(field, eps, 1.0, 0.0, n)
+            end = ode_solve(field, eps, 1.0, 0.0, n)
             assert np.allclose(end, mu, atol=1e-12)
 
     def test_single_substep_is_one_euler_step(self):
         field = AnalyticField(default_benchmark())
         z = np.array([0.5, 0.5])
-        end, _ = ode_solve(field, z, 1.0, 0.9, 1)
+        end = ode_solve(field, z, 1.0, 0.9, 1)
         expected = z + (0.9 - 1.0) * field(z, 1.0)
         assert np.array_equal(end, expected)
 
@@ -168,20 +159,26 @@ class TestOdeSolve:
         field = AnalyticField(default_benchmark())
         rng = np.random.default_rng(3)
         eps = rng.standard_normal((64, 2))
-        ref, _ = ode_solve(field, eps, 1.0, 0.0, 8192)
-        e64, _ = ode_solve(field, eps, 1.0, 0.0, 64)
-        e256, _ = ode_solve(field, eps, 1.0, 0.0, 256)
+        ref = ode_solve(field, eps, 1.0, 0.0, 8192)
+        e64 = ode_solve(field, eps, 1.0, 0.0, 64)
+        e256 = ode_solve(field, eps, 1.0, 0.0, 256)
         err64 = np.mean(np.linalg.norm(e64 - ref, axis=1))
         err256 = np.mean(np.linalg.norm(e256 - ref, axis=1))
         ratio = err64 / err256
         assert 3.0 <= ratio <= 5.5
 
     def test_trajectory_recording(self):
+        # rollout records one state per boundary from t_{from_k} down to
+        # t_{to_k}, the start included
         field = AnalyticField(default_benchmark())
-        end, traj = ode_solve(field, np.array([0.1, 0.2]), 1.0, 0.5, 10)
-        assert traj.sigmas.shape == (11,)
-        assert np.array_equal(traj.states[-1], end)
-        assert np.all(np.diff(traj.sigmas) < 0)
+        grid = StageGrid(np.array([1.0, 0.75, 0.5, 0.25, 0.0]))
+        z = np.array([0.1, 0.2])
+        states = rollout(field, grid, z, 4, 2, 5)
+        assert len(states) == 3
+        assert np.array_equal(states[0], z)
+        assert np.array_equal(states[1], ode_solve(field, z, 1.0, 0.75, 5))
+        assert np.array_equal(states[2],
+                              ode_solve(field, states[1], 0.75, 0.5, 5))
 
     def test_invalid_range(self):
         field = AnalyticField(default_benchmark())
@@ -202,7 +199,7 @@ class TestMarginalPreservation:
         rng = np.random.default_rng(4)
         n = 1024
         eps = rng.standard_normal((n, 2))
-        pushed, _ = ode_solve(field, eps, 1.0, 0.5, 256)
+        pushed = ode_solve(field, eps, 1.0, 0.5, 256)
         z0 = sample_mixture(spec, n, rng)
         eps2 = rng.standard_normal((n, 2))
         direct = interpolate(z0, eps2, 0.5)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from flowlab.flow import solve_on_grid
 from flowlab.sched import (InferenceSigmas, SigmaSchedule, build_base_schedule,
                            format_sigmas, sample_improved, sample_original,
-                           shift_sigma, step_euler)
+                           shift_sigma)
 
 
 class TestShiftSigma:
@@ -140,23 +141,29 @@ class TestSamplerProperties:
 
 
 class TestStepEuler:
+    """One Euler step is solve_on_grid on a two-point sigma grid."""
+
+    @staticmethod
+    def step(z, v, sigma_from, sigma_to):
+        return solve_on_grid(lambda z_, s: v, z, [sigma_from, sigma_to])
+
     def test_arithmetic(self):
-        out = step_euler(np.zeros(2), np.ones(2), 1.0, 0.5)
+        out = self.step(np.zeros(2), np.ones(2), 1.0, 0.5)
         assert np.allclose(out, [-0.5, -0.5])
 
     def test_zero_velocity(self):
         z = np.array([1.3, -2.1])
-        assert np.array_equal(step_euler(z, np.zeros(2), 0.9, 0.2), z)
+        assert np.array_equal(self.step(z, np.zeros(2), 0.9, 0.2), z)
 
     def test_straight_path_identity(self):
         # full step 1 -> 0 with v = eps - x starting at eps lands at x
         x = np.array([2.0, -1.0])
         eps = np.array([0.5, 0.3])
-        assert np.allclose(step_euler(eps, eps - x, 1.0, 0.0), x, atol=1e-15)
+        assert np.allclose(self.step(eps, eps - x, 1.0, 0.0), x, atol=1e-15)
 
     def test_non_decreasing_pair_rejected(self):
         with pytest.raises(ValueError):
-            step_euler(np.zeros(2), np.ones(2), 0.5, 0.5)
+            self.step(np.zeros(2), np.ones(2), 0.5, 0.5)
 
 
 class TestSerialization:
