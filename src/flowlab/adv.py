@@ -19,9 +19,8 @@ import numpy as np
 from .distill import StageGrid, distill_grads, rollout, sample_training_batch
 from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
                    field_features)
-from .netcore import (MlpParams, MlpSpec, TrainingError, adam_step, add_grads,
-                      backward, forward, forward_with_hidden, init_adam,
-                      init_params, zero_grads)
+from .netcore import (MlpParams, MlpSpec, TrainingError, adam_step, backward,
+                      forward, forward_with_hidden, init_adam, init_params)
 
 
 @dataclass(frozen=True)
@@ -143,16 +142,16 @@ def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
     return int(rng.choice(len(cfg.timestep_probs), p=cfg.timestep_probs)) + 1
 
 
-def _backprop_rollout(params, grid, states, g_state):
+def _backprop_rollout(params, grid, tapes, g_state):
     """Chain dL/dz back through the student's one-step-per-stage rollout
-    (states at t_K, t_{K-1}, ...) into parameter gradients."""
-    acc = zero_grads(params)
+    (one tape per stage, from t_K down) into parameter gradients."""
+    acc = MlpParams(params.spec)
     g = g_state
-    for i in reversed(range(len(states) - 1)):
+    for i in reversed(range(len(tapes))):
         k = grid.n_stages - i
-        x = field_features(states[i], grid.t(k))
-        grads, x_grad = backward(params, x, (grid.t(k - 1) - grid.t(k)) * g)
-        add_grads(acc, grads)
+        grads, x_grad = backward(params, tapes[i],
+                                 (grid.t(k - 1) - grid.t(k)) * g)
+        acc.flat += grads.flat
         g = g + x_grad[:, :2]  # time features carry no state dependence
     return acc
 
@@ -200,41 +199,42 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
             real = trajectory_states(teacher, grid, eps,
                                      grid.teacher_substeps_per_stage,
                                      "teacher", to_k).states[-1]
-            # the student unclipped, as distill_grads trains it
-            fake_states = rollout(
-                lambda z, s: forward(params, field_features(z, s)),
-                grid, eps, grid.n_stages, to_k, 1)
-            fake = fake_states[-1]
+            # the student unclipped, as distill_grads trains it; one tape
+            # per stage for the generator's pullback
+            tapes = []
+            fake = rollout(
+                lambda z, s: forward(params, field_features(z, s), tapes),
+                grid, eps, grid.n_stages, to_k, 1)[-1]
 
             # discriminator step: student states detached
             xr = field_features(real, sigma)
             xf = field_features(fake, sigma)
-            sr = forward(disc.params, xr)[:, 0]
-            sf = forward(disc.params, xf)[:, 0]
+            sr, tape_r = forward_with_hidden(disc.params, xr)
+            sf, tape_f = forward_with_hidden(disc.params, xf)
             d_loss = disc_loss(sr, sf, adv_cfg.gan_kind)
             gr, gf = _disc_loss_score_grads(sr, sf, adv_cfg.gan_kind)
-            dgrads, _ = backward(disc.params, xr, gr[:, None])
-            dgrads_f, _ = backward(disc.params, xf, gf[:, None])
-            add_grads(dgrads, dgrads_f)
+            dgrads, _ = backward(disc.params, tape_r, gr)
+            dgrads_f, _ = backward(disc.params, tape_f, gf)
+            dgrads.flat += dgrads_f.flat
             disc.params, disc_state = adam_step(disc.params, dgrads, disc_state)
 
             # student step: adversarial + feature-matching grads through the
             # updated discriminator and the student's own rollout
-            sf2, feat_f = forward_with_hidden(disc.params, xf)
-            _, feat_r = forward_with_hidden(disc.params, xr)
-            l_adv = adv_loss_student(sf2[:, 0])
-            l_fm = fm_loss(feat_r, feat_f)
+            sf, tape_f = forward_with_hidden(disc.params, xf)
+            _, tape_r = forward_with_hidden(disc.params, xr)
+            l_adv = adv_loss_student(sf)
+            l_fm = fm_loss(tape_r.hidden, tape_f.hidden)
 
             n = cfg.batch_size
             score_grad = np.full((n, 1), -adv_cfg.lambda_adv / n)
             hidden_grads = []
-            for fr, ff in zip(feat_r, feat_f):
+            for fr, ff in zip(tape_r.hidden, tape_f.hidden):
                 diff = ff - fr
                 norms = np.maximum(np.linalg.norm(diff, axis=-1, keepdims=True), 1e-12)
                 hidden_grads.append(adv_cfg.lambda_fm * diff / (n * norms))
-            _, x_grad = backward(disc.params, xf, score_grad, hidden_grads)
-            add_grads(grads, _backprop_rollout(params, grid, fake_states,
-                                               x_grad[:, :2]))
+            _, x_grad = backward(disc.params, tape_f, score_grad, hidden_grads)
+            grads.flat += _backprop_rollout(params, grid, tapes,
+                                            x_grad[:, :2]).flat
 
         if not np.isfinite(l_dist + l_adv + l_fm + d_loss):
             raise TrainingError("adversarial training diverged")

@@ -20,7 +20,7 @@ from .adv import AdvConfig, train_adversarial
 from .diag import (energy_permutation_test, expected_velocity_residual,
                    interstage_distance, teacher_trajectory_divergence,
                    w2_exact_small)
-from .distill import StageGrid, infer_few_step, train_student
+from .distill import StageGrid, default_grid, infer_few_step, train_student
 from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
                    sample_mixture, solve_on_grid)
 from .netcore import TrainingError, load_params, save_params
@@ -65,15 +65,10 @@ class ExperimentConfig:
             raise ConfigError("eval.samples must be >= 1")
         if self.batch < 1:
             raise ConfigError("train.batch must be >= 1")
-        if self.teacher != "analytic":
-            if not self.teacher.startswith("learned:"):
-                raise ConfigError(f"unknown teacher {self.teacher!r}")
-            path = self.teacher.split(":", 1)[1]
-            if not Path(path).exists():
-                raise ConfigError(f"teacher checkpoint {path} does not exist")
         # the library's own validators, run before any output is written
         try:
             self.mixture()
+            self.teacher_field()  # reads a learned teacher's checkpoint
             self.grid()
             if self.method == "ota+adv":
                 self.adv_config().check_stages(self.stages)
@@ -88,7 +83,9 @@ class ExperimentConfig:
     def teacher_field(self):
         if self.teacher == "analytic":
             return AnalyticField(self.mixture())
-        return LearnedField(load_params(self.teacher.split(":", 1)[1]))
+        if not self.teacher.startswith("learned:"):
+            raise ConfigError(f"unknown teacher {self.teacher!r}")
+        return _learned_field(self.teacher.split(":", 1)[1])
 
     def adv_config(self) -> AdvConfig:
         return AdvConfig(self.lambda_adv, self.lambda_fm, self.gan, self.t_probs)
@@ -121,6 +118,14 @@ class ExperimentConfig:
             f"output_dir = {self.output_dir}",
         ]
         return "\n".join(lines) + "\n"
+
+
+def _learned_field(path) -> LearnedField:
+    """A checkpoint's field; ConfigError if it is unreadable or malformed."""
+    try:
+        return LearnedField(load_params(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
 def _parse_floats(text):
@@ -325,6 +330,7 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None,
              n: int = 1024) -> dict:
     """Teacher mismatch diagnostics, and inter-stage gaps if a student
     checkpoint is given."""
+    student = None if checkpoint is None else _learned_field(checkpoint)
     teacher = config.teacher_field()
     grid = config.grid()
     seed = config.seeds[0]
@@ -342,8 +348,7 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None,
             for b, m, s in zip(boundaries, means, ses)],
         "velocity_residuals": residuals,
     }
-    if checkpoint is not None:
-        student = LearnedField(load_params(checkpoint))
+    if student is not None:
         report["interstage"] = interstage_distance(
             teacher, student, grid, n=n, seed=seed, data=config.mixture(),
             n_permutations=200)
@@ -438,8 +443,7 @@ def main(argv=None) -> int:
             print(json.dumps({s: {k: v for k, v in m.items() if k != "interstage"}
                               for s, m in summary["seeds"].items()}, indent=2))
         elif args.command == "infer":
-            from .distill import default_grid
-            student = LearnedField(load_params(args.checkpoint))
+            student = _learned_field(args.checkpoint)
             grid = default_grid(args.stages, args.shift)
             rng = np.random.default_rng(args.seed)
             out = infer_few_step(student, grid, rng.standard_normal((args.n, 2)))

@@ -146,9 +146,9 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
     continuous = rollout(teacher, grid, eps, K, 0, substeps)[1:]
     z0_true = continuous[-1][rng.permutation(n)]
 
-    piecewise = []
-    for k in range(K, 0, -1):
-        start = eps if k == K else interpolate(z0_true, eps, grid.t(k))
+    piecewise = [continuous[0]]  # stage K starts from eps in both protocols
+    for k in range(K - 1, 0, -1):
+        start = interpolate(z0_true, eps, grid.t(k))
         piecewise.append(rollout(teacher, grid, start, k, k - 1, substeps)[-1])
 
     boundaries = grid.boundaries[1:]

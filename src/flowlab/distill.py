@@ -103,10 +103,10 @@ def sample_training_batch(teacher, data: MixtureSpec, method: str,
 
 def distill_grads(params, z_t, t, v_target):
     """Loss and parameter gradients of the mean squared velocity error."""
-    x = field_features(z_t, t)
-    resid = forward(params, x) - v_target
+    tapes = []
+    resid = forward(params, field_features(z_t, t), tapes) - v_target
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grads, _ = backward(params, x, 2.0 * resid / len(resid))
+    grads, _ = backward(params, tapes[0], 2.0 * resid / len(resid))
     return loss, grads
 
 

@@ -206,14 +206,13 @@ def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
         eps = rng.standard_normal((cfg.batch_size, 2))
         sig = rng.uniform(SIGMA_FLOOR, 1.0, cfg.batch_size)
         z = interpolate(z0, eps, sig)
-        x = field_features(z, sig)
-        pred = forward(params, x)
-        resid = pred - (eps - z0)
+        tapes = []
+        resid = forward(params, field_features(z, sig), tapes) - (eps - z0)
         loss = float(np.mean(np.sum(resid ** 2, axis=1)))
         if not np.isfinite(loss):
             raise TrainingError("flow-matching loss diverged")
         if history is not None:
             history.append(loss)
-        grads, _ = backward(params, x, 2.0 * resid / cfg.batch_size)
+        grads, _ = backward(params, tapes[0], 2.0 * resid / cfg.batch_size)
         params, state = adam_step(params, grads, state)
     return LearnedField(params)

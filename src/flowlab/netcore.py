@@ -3,12 +3,14 @@
 Everything is float64 and purely functional; fixed seeds give bit-identical
 training trajectories on one machine. Inputs may be a single vector or a
 batch with a leading axis; parameter gradients are summed over the batch.
+Parameters, gradients and Adam moments are flat vectors of one layout;
+`backward` pulls back a forward pass's tape, so each pass traces once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,169 +51,160 @@ class MlpSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
 class MlpParams:
-    spec: MlpSpec
-    weights: list  # (fan_in, fan_out) per layer
-    biases: list   # (fan_out,) per layer
+    """One flat float64 vector holding, layer by layer, the weight
+    (fan_in, fan_out) and the bias (fan_out,); `weights[i]`, `biases[i]` are
+    C-contiguous views into it. Gradients share the layout (add with +=)."""
+
+    def __init__(self, spec: MlpSpec, flat=None):
+        layers = list(zip(spec.widths[:-1], spec.widths[1:]))
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
+        if flat is None:
+            flat = np.zeros(size)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(f"need a float64 vector of {size} parameters")
+        self.spec, self.flat = spec, flat
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in layers:
+            end = offset + fan_in * fan_out
+            self.weights.append(flat[offset:end].reshape(fan_in, fan_out))
+            self.biases.append(flat[end:end + fan_out])
+            offset = end + fan_out
+
+    @classmethod
+    def from_layers(cls, spec: MlpSpec, weights, biases) -> MlpParams:
+        """Copy per-layer arrays in; ValueError unless their count and
+        shapes are those of spec.widths."""
+        params = cls(spec)
+        n_layers = len(params.weights)
+        if len(weights) != n_layers or len(biases) != n_layers:
+            raise ValueError(f"layer count does not match widths {spec.widths}")
+        for dst, src in zip(params.weights + params.biases,
+                            list(weights) + list(biases)):
+            src = np.asarray(src, dtype=np.float64)
+            if src.shape != dst.shape:
+                raise ValueError(f"layer shape {src.shape} != {dst.shape}")
+            dst[...] = src
+        return params
 
 
 def init_params(spec: MlpSpec) -> MlpParams:
     """Fan-in-scaled zero-mean normal weights, zero biases; seed-deterministic."""
     rng = np.random.default_rng(spec.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(spec, weights, biases)
+    params = MlpParams(spec)
+    for w in params.weights:
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
+    return params
 
 
-def _as_batch(params: MlpParams, x):
+@dataclass(frozen=True)
+class Tape:
+    """What one traced pass keeps for `backward`."""
+
+    params: MlpParams
+    x: np.ndarray     # the input, batched
+    pre: list         # pre-activations of the hidden layers
+    hidden: list      # post-activation hiddens (the feature layers), batched
+    single: bool      # the input was a single vector
+
+
+def _trace(params: MlpParams, x):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.spec.widths[0]:
         raise ValueError(f"input width {x.shape[-1]} != {params.spec.widths[0]}")
-    return x, single
-
-
-def _trace(params: MlpParams, x):
-    """Run the net caching pre-activations and post-activation hiddens."""
     act, _ = ACTIVATIONS[params.spec.activation]
-    n_layers = len(params.weights)
-    pre, hidden = [], []
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = h @ w + b
-        pre.append(a)
-        if i < n_layers - 1:
-            h = act(a)
-            hidden.append(h)
-        else:
-            h = a  # last layer affine
-    return h, pre, hidden
+    pre, hidden, h = [], [], x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        pre.append(h @ w + b)
+        h = act(pre[-1])
+        hidden.append(h)
+    y = h @ params.weights[-1] + params.biases[-1]  # last layer affine
+    return (y[0] if single else y), Tape(params, x, pre, hidden, single)
 
 
-def forward(params: MlpParams, x):
-    """Affine + activation stack; last layer affine."""
-    x2d, single = _as_batch(params, x)
-    y, _, _ = _trace(params, x2d)
-    return y[0] if single else y
+def forward(params: MlpParams, x, tapes: list = None):
+    """Affine + activation stack; last layer affine. A training pass passes
+    a list as `tapes`, and the pass's tape is appended to it for `backward`."""
+    y, tape = _trace(params, x)
+    if tapes is not None:
+        tapes.append(tape)
+    return y
 
 
 def forward_with_hidden(params: MlpParams, x):
-    """Like forward, but also returns the post-activation hidden layers."""
-    x2d, single = _as_batch(params, x)
-    y, _, hidden = _trace(params, x2d)
-    if single:
-        return y[0], [h[0] for h in hidden]
-    return y, hidden
+    """Like forward, but returns (y, tape); tape.hidden are the features."""
+    return _trace(params, x)
 
 
-def backward(params: MlpParams, x, out_grad, hidden_grads=None):
-    """Reverse-mode gradients under the given output cotangent.
+def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
+    """Reverse-mode gradients under the given output cotangent, pulled back
+    through a tape that a forward pass recorded under these params.
 
     hidden_grads, if given, is a list of extra cotangents injected at each
-    post-activation hidden layer (same order as forward_with_hidden).
-    Returns ((weight_grads, bias_grads), input_grad); parameter gradients
-    are summed over the batch.
+    post-activation hidden layer (same order as tape.hidden). Returns
+    (grads, input_grad); grads is an MlpParams of parameter gradients
+    summed over the batch.
     """
-    x2d, single = _as_batch(params, x)
+    if tape.params is not params:
+        raise ValueError("tape was recorded under other parameters")
     g = np.asarray(out_grad, dtype=np.float64)
-    if single:
+    if tape.single:
         g = g[None, :]
-    if g.shape != (x2d.shape[0], params.spec.widths[-1]):
+    if g.shape != (tape.x.shape[0], params.spec.widths[-1]):
         raise ValueError("out_grad shape does not match network output")
     _, dact = ACTIVATIONS[params.spec.activation]
-    _, pre, hidden = _trace(params, x2d)
 
-    n_layers = len(params.weights)
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
-    inputs = [x2d] + hidden  # input to layer i is inputs[i]
-    for i in range(n_layers - 1, -1, -1):
-        w_grads[i] = inputs[i].T @ g
-        b_grads[i] = g.sum(axis=0)
+    grads = MlpParams(params.spec)
+    inputs = [tape.x] + tape.hidden  # input to layer i is inputs[i]
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(inputs[i].T, g, out=grads.weights[i])
+        np.sum(g, axis=0, out=grads.biases[i])
         gh = g @ params.weights[i].T
         if i > 0:
             if hidden_grads is not None and hidden_grads[i - 1] is not None:
                 hg = np.asarray(hidden_grads[i - 1], dtype=np.float64)
-                gh = gh + (hg[None, :] if single else hg)
-            g = gh * dact(pre[i - 1])
+                gh = gh + (hg[None, :] if tape.single else hg)
+            g = gh * dact(tape.pre[i - 1])
         else:
             g = gh
-    return (w_grads, b_grads), (g[0] if single else g)
+    return grads, (g[0] if tape.single else g)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    """Hyperparameters, step count and the flat moment vectors m, v."""
+
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam(params: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(lr, beta1, beta2, eps, 0,
+                     np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: MlpParams, grads, state: AdamState):
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     """One bias-corrected adaptive-moment update; returns new params and state."""
-    w_grads, b_grads = grads
-    for g in list(w_grads) + list(b_grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient entries")
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
+        raise TrainingError("non-finite gradient entries")
     t = state.step + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-
-    def upd(p, g, m, v):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * g * g
-        p_new = p - state.lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.eps)
-        return p_new, m_new, v_new
-
-    new_w, new_b = [], []
-    new_state = AdamState(state.lr, state.beta1, state.beta2, state.eps, t,
-                          [], [], [], [])
-    for p, g, m, v in zip(params.weights, w_grads, state.m_w, state.v_w):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_w.append(p2)
-        new_state.m_w.append(m2)
-        new_state.v_w.append(v2)
-    for p, g, m, v in zip(params.biases, b_grads, state.m_b, state.v_b):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_b.append(p2)
-        new_state.m_b.append(m2)
-        new_state.v_b.append(v2)
-    return MlpParams(params.spec, new_w, new_b), new_state
-
-
-def zero_grads(params: MlpParams):
-    return ([np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases])
-
-
-def add_grads(acc, extra, scale: float = 1.0):
-    """acc += scale * extra, elementwise over the gradient tree (in place)."""
-    for a, e in zip(acc[0], extra[0]):
-        a += scale * e
-    for a, e in zip(acc[1], extra[1]):
-        a += scale * e
-    return acc
+    m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    flat = params.flat - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return MlpParams(params.spec, flat), replace(state, step=t, m=m, v=v)
 
 
 def save_params(params: MlpParams, path):
@@ -228,12 +221,12 @@ def save_params(params: MlpParams, path):
 
 
 def load_params(path) -> MlpParams:
+    """Read a save_params checkpoint; ValueError if it is malformed."""
     with open(path) as f:
         payload = json.load(f)
-    spec = MlpSpec(tuple(payload["widths"]), payload["activation"], payload["seed"])
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    for w, (fi, fo) in zip(weights, zip(spec.widths[:-1], spec.widths[1:])):
-        if w.shape != (fi, fo):
-            raise ValueError("checkpoint weight shapes do not match spec header")
-    return MlpParams(spec, weights, biases)
+    try:
+        spec = MlpSpec(tuple(payload["widths"]), payload["activation"],
+                       payload["seed"])
+        return MlpParams.from_layers(spec, payload["weights"], payload["biases"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from None

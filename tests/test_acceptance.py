@@ -20,7 +20,8 @@ from flowlab.flow import (AnalyticField, TrainConfig, analytic_velocity,
                           default_benchmark, interpolate, ode_solve,
                           point_mass, sample_mixture, solve_on_grid,
                           train_flow_matching)
-from flowlab.netcore import MlpSpec, backward, forward, init_params
+from flowlab.netcore import (MlpSpec, backward, forward, forward_with_hidden,
+                             init_params)
 from flowlab.sched import build_base_schedule, sample_improved, sample_original
 
 SPEC = default_benchmark()
@@ -58,7 +59,9 @@ def test_criterion_02_gradient_correctness():
         params = init_params(MlpSpec(widths, act, 100 + trial))
         x = rng.standard_normal((3, widths[0]))
         g = rng.standard_normal((3, widths[-1]))
-        (wg, bg), _ = backward(params, x, g)
+        _, tape = forward_with_hidden(params, x)
+        param_grads, _ = backward(params, tape, g)
+        wg, bg = param_grads.weights, param_grads.biases
         h = 1e-5
         for arrs, grads in ((params.weights, wg), (params.biases, bg)):
             for arr, grad in zip(arrs, grads):

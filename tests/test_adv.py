@@ -108,9 +108,9 @@ class TestDiscriminator:
     def test_forward_shapes(self):
         d = init_discriminator(widths=(5, 16, 8, 1))
         z = np.random.default_rng(2).standard_normal((6, 2))
-        score, feats = forward_with_hidden(d.params, field_features(z, 0.5))
+        score, tape = forward_with_hidden(d.params, field_features(z, 0.5))
         assert score.shape == (6, 1)
-        assert [f.shape for f in feats] == [(6, 16), (6, 8)]
+        assert [f.shape for f in tape.hidden] == [(6, 16), (6, 8)]
 
 
 def per_stage_reference(teacher, grid, eps, substeps):

@@ -5,6 +5,7 @@ import pytest
 
 from flowlab.cli import (ConfigError, ExperimentConfig, build_parser,
                          load_config, main, reproduce_tables, run_experiment)
+from flowlab.netcore import MlpSpec, init_params, save_params
 
 
 class TestExperimentConfig:
@@ -176,6 +177,35 @@ class TestMainCli:
         path.write_text(config_text)
         out = tmp_path / "run"
         argv = ["train", "--config", str(path), "--out", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("break_checkpoint", [
+        lambda d: d.update(weights=d["weights"][:2], biases=d["biases"][:2]),
+        lambda d: d.update(biases=[b[:-1] for b in d["biases"]]),
+        lambda d: d.pop("activation"),
+        None,
+    ], ids=["too-few-layers", "bias-sizes", "missing-activation",
+            "invalid-json"])
+    @pytest.mark.parametrize("command", ["infer", "diagnose", "train"])
+    def test_malformed_checkpoint_exit_one(self, tmp_path, capsys, command,
+                                           break_checkpoint):
+        good = tmp_path / "good.json"
+        save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), good)
+        bad = tmp_path / "bad.json"
+        if break_checkpoint is None:
+            bad.write_text(good.read_text()[:-20])
+        else:
+            payload = json.loads(good.read_text())
+            break_checkpoint(payload)
+            bad.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        argv = {"infer": ["infer", "--checkpoint", str(bad), "--out", str(out)],
+                "diagnose": ["diagnose", "--checkpoint", str(bad)],
+                "train": ["train", "--teacher", f"learned:{bad}",
+                          "--out", str(out)]}[command]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")

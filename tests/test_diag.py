@@ -14,9 +14,9 @@ import flowlab
 from flowlab.diag import (energy_distance, energy_permutation_test,
                           expected_velocity_residual, interstage_distance,
                           teacher_trajectory_divergence, w2_exact_small)
-from flowlab.distill import default_grid, train_student
+from flowlab.distill import default_grid, rollout, train_student
 from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
-                          point_mass)
+                          interpolate, point_mass)
 
 
 def w2_bruteforce(a, b):
@@ -266,6 +266,23 @@ class TestEnergyPermutationTest:
         assert large < 2 * small
 
 
+def divergence_every_stage_solved(teacher, grid, n, seed):
+    """teacher_trajectory_divergence as it was when every piecewise stage,
+    the first included, was solved on its own (reference)."""
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((n, 2))
+    K, substeps = grid.n_stages, grid.teacher_substeps_per_stage
+    continuous = rollout(teacher, grid, eps, K, 0, substeps)[1:]
+    z0_true = continuous[-1][rng.permutation(n)]
+    piecewise = []
+    for k in range(K, 0, -1):
+        start = eps if k == K else interpolate(z0_true, eps, grid.t(k))
+        piecewise.append(rollout(teacher, grid, start, k, k - 1, substeps)[-1])
+    gaps = [np.linalg.norm(c - p, axis=1) for c, p in zip(continuous, piecewise)]
+    return (grid.boundaries[1:], np.array([g.mean() for g in gaps]),
+            np.array([g.std(ddof=1) / np.sqrt(n) for g in gaps]))
+
+
 class TestTrajectoryDivergence:
     def test_point_mass_no_divergence(self):
         # straight teacher trajectories: re-initializing on the chord is a
@@ -286,6 +303,24 @@ class TestTrajectoryDivergence:
         # later boundaries diverge measurably and the gap compounds
         assert means[1] > 0.01
         assert np.all(np.diff(means) > 0)
+
+    def test_first_stage_solved_once(self):
+        # the piecewise protocol's first stage starts from eps like the
+        # continuous rollout, so its state is reused, not solved again:
+        # 4 stages x 8 sub-steps continuous + 3 x 8 piecewise
+        calls = []
+
+        def teacher(z, sigma):
+            calls.append(sigma)
+            return AnalyticField(default_benchmark())(z, sigma)
+
+        got = teacher_trajectory_divergence(teacher, default_grid(4), 256,
+                                            seed=3)
+        assert len(calls) == 56
+        want = divergence_every_stage_solved(
+            AnalyticField(default_benchmark()), default_grid(4), 256, seed=3)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_single_stage_empty(self):
         teacher = AnalyticField(default_benchmark())
