@@ -33,8 +33,8 @@ class AdvConfig:
     def __post_init__(self):
         probs = tuple(float(p) for p in self.timestep_probs)
         object.__setattr__(self, "timestep_probs", probs)
-        if self.lambda_adv < 0 or self.lambda_fm < 0:
-            raise ValueError("loss weights must be >= 0")
+        if not (0 <= self.lambda_adv < np.inf and 0 <= self.lambda_fm < np.inf):
+            raise ValueError("loss weights must be finite and >= 0")
         if self.gan_kind not in ("hinge", "lsgan", "wgan"):
             raise ValueError(f"unknown gan_kind {self.gan_kind!r}")
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
@@ -123,8 +123,9 @@ def _disc_loss_score_grads(r, f, kind):
     raise ValueError(f"unknown gan_kind {kind!r}")
 
 
-def fm_loss(teacher_features, student_features) -> float:
-    """Sum over layers of the batch-mean L2 feature distance."""
+def fm_loss(teacher_features, student_features, diffs: list = None) -> float:
+    """Sum over layers of the batch-mean L2 feature distance; diffs, if
+    given, collects each layer's (student - teacher, row norms)."""
     if len(teacher_features) != len(student_features):
         raise ValueError("feature layer counts differ")
     total = 0.0
@@ -133,7 +134,11 @@ def fm_loss(teacher_features, student_features) -> float:
         fs = np.atleast_2d(np.asarray(fs, dtype=np.float64))
         if ft.shape != fs.shape:
             raise ValueError("feature shapes differ")
-        total += float(np.mean(np.linalg.norm(ft - fs, axis=-1)))
+        d = fs - ft
+        norms = np.linalg.norm(d, axis=-1)
+        total += float(np.mean(norms))
+        if diffs is not None:
+            diffs.append((d, norms))
     return total
 
 
@@ -223,15 +228,14 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
             sf, tape_f = forward_with_hidden(disc.params, xf)
             _, tape_r = forward_with_hidden(disc.params, xr)
             l_adv = adv_loss_student(sf)
-            l_fm = fm_loss(tape_r.hidden, tape_f.hidden)
+            diffs = []
+            l_fm = fm_loss(tape_r.hidden, tape_f.hidden, diffs)
 
             n = cfg.batch_size
             score_grad = np.full((n, 1), -adv_cfg.lambda_adv / n)
-            hidden_grads = []
-            for fr, ff in zip(tape_r.hidden, tape_f.hidden):
-                diff = ff - fr
-                norms = np.maximum(np.linalg.norm(diff, axis=-1, keepdims=True), 1e-12)
-                hidden_grads.append(adv_cfg.lambda_fm * diff / (n * norms))
+            hidden_grads = [
+                adv_cfg.lambda_fm * d / (n * np.maximum(norms, 1e-12)[:, None])
+                for d, norms in diffs]
             _, x_grad = backward(disc.params, tape_f, score_grad, hidden_grads)
             grads.flat += _backprop_rollout(params, grid, tapes,
                                             x_grad[:, :2]).flat

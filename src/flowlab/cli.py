@@ -11,25 +11,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adv import AdvConfig, train_adversarial
-from .diag import (energy_permutation_test, expected_velocity_residual,
-                   interstage_distance, teacher_trajectory_divergence,
-                   w2_exact_small)
+from .diag import (W2_MAX_POINTS, energy_permutation_test,
+                   expected_velocity_residual, interstage_distance,
+                   teacher_trajectory_divergence, w2_exact_small)
 from .distill import StageGrid, default_grid, infer_few_step, train_student
 from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
                    sample_mixture, solve_on_grid)
 from .netcore import TrainingError, load_params, save_params
-from .sched import (build_base_schedule, format_sigmas, sample_improved,
-                    sample_original)
+from .sched import SAMPLERS, build_base_schedule, format_sigmas
 
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _config_errors(prefix=""):
+    """Re-raise a library ValueError from the block as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -57,23 +66,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in ("perflow", "ota", "ota+adv"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.scheduler not in ("original", "improved"):
+        if self.scheduler not in SAMPLERS:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if self.eval_samples < 1:
-            raise ConfigError("eval.samples must be >= 1")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonempty and >= 0")
+        if self.iterations < 0:
+            raise ConfigError("train.iterations must be >= 0")
         if self.batch < 1:
             raise ConfigError("train.batch must be >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("train.lr must be positive and finite")
+        if self.eval_samples < 1:
+            raise ConfigError("eval.samples must be >= 1")
+        for key, (name, _, parse, _) in CONFIG_TABLE.items():
+            text = getattr(self, name)
+            if parse is str and (text != text.strip() or len(text.splitlines()) > 1):
+                raise ConfigError(f"{key} must be one line with no outer blanks")
         # the library's own validators, run before any output is written
-        try:
+        with _config_errors():
             self.mixture()
             self.teacher_field()  # reads a learned teacher's checkpoint
             self.grid()
+            adv = self.adv_config()  # checks adv.gan for every method
             if self.method == "ota+adv":
-                self.adv_config().check_stages(self.stages)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+                adv.check_stages(self.stages)
 
     def mixture(self) -> MixtureSpec:
         return MixtureSpec(np.array(self.mixture_weights),
@@ -92,32 +108,12 @@ class ExperimentConfig:
 
     def grid(self) -> StageGrid:
         schedule = build_base_schedule(1000, self.shift)
-        sampler = sample_improved if self.scheduler == "improved" else sample_original
-        return StageGrid(sampler(schedule, self.stages).sigmas, self.substeps)
+        sigmas = SAMPLERS[self.scheduler](schedule, self.stages).sigmas
+        return StageGrid(sigmas, self.substeps)
 
     def to_text(self) -> str:
-        lines = [
-            f"method = {self.method}",
-            f"teacher = {self.teacher}",
-            "mixture.weights = " + ",".join(f"{w!r}" for w in self.mixture_weights),
-            "mixture.means = " + ";".join(f"{m[0]!r},{m[1]!r}" for m in self.mixture_means),
-            "mixture.stds = " + ",".join(f"{s!r}" for s in self.mixture_stds),
-            f"grid.stages = {self.stages}",
-            f"grid.shift = {self.shift!r}",
-            f"grid.substeps = {self.substeps}",
-            f"scheduler = {self.scheduler}",
-            f"train.iterations = {self.iterations}",
-            f"train.batch = {self.batch}",
-            f"train.lr = {self.lr!r}",
-            f"adv.lambda_adv = {self.lambda_adv!r}",
-            f"adv.lambda_fm = {self.lambda_fm!r}",
-            f"adv.gan = {self.gan}",
-            "adv.t_probs = " + ",".join(f"{p!r}" for p in self.t_probs),
-            "seeds = " + ",".join(str(s) for s in self.seeds),
-            f"eval.samples = {self.eval_samples}",
-            f"output_dir = {self.output_dir}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {fmt(getattr(self, name))}\n"
+                       for key, (name, _, _, fmt) in CONFIG_TABLE.items())
 
 
 def _learned_field(path) -> LearnedField:
@@ -128,37 +124,51 @@ def _learned_field(path) -> LearnedField:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in text.split(","))
+def _split(parse, sep=","):
+    return lambda text: tuple(parse(x) for x in text.split(sep))
 
 
-_CONFIG_KEYS = {
-    "method": ("method", str),
-    "teacher": ("teacher", str),
-    "mixture.weights": ("mixture_weights", _parse_floats),
-    "mixture.means": ("mixture_means",
-                      lambda t: tuple(tuple(float(x) for x in m.split(","))
-                                      for m in t.split(";"))),
-    "mixture.stds": ("mixture_stds", _parse_floats),
-    "grid.stages": ("stages", int),
-    "grid.shift": ("shift", float),
-    "grid.substeps": ("substeps", int),
-    "scheduler": ("scheduler", str),
-    "train.iterations": ("iterations", int),
-    "train.batch": ("batch", int),
-    "train.lr": ("lr", float),
-    "adv.lambda_adv": ("lambda_adv", float),
-    "adv.lambda_fm": ("lambda_fm", float),
-    "adv.gan": ("gan", str),
-    "adv.t_probs": ("t_probs", _parse_floats),
-    "seeds": ("seeds", lambda t: tuple(int(s) for s in t.split(","))),
-    "eval.samples": ("eval_samples", int),
-    "output_dir": ("output_dir", str),
+def _join(fmt=str, sep=","):
+    return lambda values: sep.join(fmt(v) for v in values)
+
+
+_floats, _ints = _split(float), _split(int)
+
+# The config schema, declared once. The text of a value, from a config file
+# or a flag, goes through the parser; to_text writes it with the formatter.
+CONFIG_TABLE = {
+    # config-file key: (ExperimentConfig field, CLI flag, parser, formatter)
+    "method": ("method", "--method", str, str),
+    "teacher": ("teacher", "--teacher", str, str),
+    "mixture.weights": ("mixture_weights", None, _floats, _join()),
+    "mixture.means": ("mixture_means", None, _split(_floats, ";"),
+                      _join(_join(), ";")),
+    "mixture.stds": ("mixture_stds", None, _floats, _join()),
+    "grid.stages": ("stages", "--stages", int, str),
+    "grid.shift": ("shift", "--shift", float, str),
+    "grid.substeps": ("substeps", None, int, str),
+    "scheduler": ("scheduler", "--scheduler", str, str),
+    "train.iterations": ("iterations", "--iters", int, str),
+    "train.batch": ("batch", "--batch", int, str),
+    "train.lr": ("lr", "--lr", float, str),
+    "adv.lambda_adv": ("lambda_adv", "--lambda-adv", float, str),
+    "adv.lambda_fm": ("lambda_fm", "--lambda-fm", float, str),
+    "adv.gan": ("gan", "--gan", str, str),
+    "adv.t_probs": ("t_probs", "--t-probs", _floats, _join()),
+    "seeds": ("seeds", "--seed", _ints, _join()),
+    "eval.samples": ("eval_samples", None, int, str),
+    "output_dir": ("output_dir", "--out", str, str),
 }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Flat key = value config with dotted section names."""
+def _parse(key, text, where):
+    """One config key's value from its text; ConfigError if it is bad."""
+    with _config_errors(f"{where}bad value for {key}: "):
+        return CONFIG_TABLE[key][2](text.strip())
+
+
+def _read_config(path) -> dict:
+    """Fields of a flat key = value config with dotted section names."""
     fields = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -167,14 +177,14 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        name, conv = _CONFIG_KEYS[key]
-        try:
-            fields[name] = conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return ExperimentConfig(**fields)
+        fields[CONFIG_TABLE[key][0]] = _parse(key, value, f"{path}:{lineno}: ")
+    return fields
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig(**_read_config(path))
 
 
 def _write_points(path, points):
@@ -267,9 +277,7 @@ def reproduce_tables(printer=print) -> dict:
     """Recompute the golden scheduler rows and report per-entry verdicts."""
     report = {"rows": [], "all_pass": True}
     for method, shift, expected in _GOLDEN_ROWS:
-        schedule = build_base_schedule(1000, shift)
-        sampler = sample_original if method == "original" else sample_improved
-        got = sampler(schedule, 4).sigmas
+        got = SAMPLERS[method](build_base_schedule(1000, shift), 4).sigmas
         # 1e-9 slack: the improved shift=3 row sits exactly on the 2e-3
         # boundary and float representation noise must not flip the verdict
         ok = bool(np.all(np.abs(got - np.array(expected)) <= 2e-3 + 1e-9))
@@ -280,7 +288,7 @@ def reproduce_tables(printer=print) -> dict:
         printer(f"{method:>8} shift={shift:g}: "
                 + "[" + ", ".join(f"{s:.3f}" for s in got) + "] "
                 + ("PASS" if ok else "FAIL"))
-    prezero = float(sample_original(build_base_schedule(1000, 3.0), 4).sigmas[-2])
+    prezero = float(SAMPLERS["original"](build_base_schedule(1000, 3.0), 4).sigmas[-2])
     ok = abs(prezero - PREZERO_SIGMA_SHIFT3) <= 2e-4
     report["prezero_sigma"] = {"computed": prezero,
                                "expected": PREZERO_SIGMA_SHIFT3, "pass": ok}
@@ -292,23 +300,25 @@ def reproduce_tables(printer=print) -> dict:
 
 def compare_schedulers(config: ExperimentConfig, steps=(4, 10, 32),
                        n_points: int = 256) -> dict:
-    """W2-to-data for N-step inference under both sigma samplers, from
+    """W2-to-data for N-step inference under every sigma sampler, from
     identical noise per seed."""
+    if not 1 <= n_points <= W2_MAX_POINTS:
+        raise ConfigError(f"n_points must be in [1, {W2_MAX_POINTS}], got {n_points}")
+    schedule = build_base_schedule(1000, config.shift)
+    with _config_errors("steps: "):
+        grids = {n: {name: sampler(schedule, n).sigmas
+                     for name, sampler in SAMPLERS.items()} for n in steps}
     field_ = config.teacher_field()
     data_spec = config.mixture()
-    schedule = build_base_schedule(1000, config.shift)
     report = {"shift": config.shift, "steps": {}}
-    for n_steps in steps:
-        rows = {"original": [], "improved": []}
+    for n_steps, sigmas in grids.items():
+        rows = {name: [] for name in sigmas}
         for seed in config.seeds:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C]))
             eps = rng.standard_normal((n_points, 2))
             data = sample_mixture(data_spec, n_points, rng)
-            for name, sampler in (("original", sample_original),
-                                  ("improved", sample_improved)):
-                sig = sampler(schedule, n_steps).sigmas
-                out = solve_on_grid(field_, eps, sig)
-                rows[name].append(w2_exact_small(data, out))
+            for name, sig in sigmas.items():
+                rows[name].append(w2_exact_small(data, solve_on_grid(field_, eps, sig)))
         report["steps"][str(n_steps)] = rows
     return report
 
@@ -356,40 +366,19 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None,
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = {}
-    for attr, name in (("method", "method"), ("teacher", "teacher"),
-                       ("stages", "stages"), ("shift", "shift"),
-                       ("scheduler", "scheduler"), ("iters", "iterations"),
-                       ("batch", "batch"), ("lr", "lr"), ("gan", "gan"),
-                       ("lambda_adv", "lambda_adv"), ("lambda_fm", "lambda_fm"),
-                       ("out", "output_dir")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = tuple(int(s) for s in args.seed.split(","))
-    if getattr(args, "t_probs", None) is not None:
-        overrides["t_probs"] = _parse_floats(args.t_probs)
-    return replace(config, **overrides)
+    """The config file's values, overridden by the flags given."""
+    fields = _read_config(args.config) if args.config else {}
+    for key, (name, flag, _, _) in CONFIG_TABLE.items():
+        if flag and getattr(args, name) is not None:
+            fields[name] = _parse(key, getattr(args, name), f"{flag}: ")
+    return ExperimentConfig(**fields)
 
 
 def _add_config_flags(p):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--method", choices=["perflow", "ota", "ota+adv"])
-    p.add_argument("--teacher", help="analytic or learned:PATH")
-    p.add_argument("--stages", type=int)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--scheduler", choices=["original", "improved"])
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--gan", choices=["hinge", "lsgan", "wgan"])
-    p.add_argument("--lambda-adv", dest="lambda_adv", type=float)
-    p.add_argument("--lambda-fm", dest="lambda_fm", type=float)
-    p.add_argument("--t-probs", dest="t_probs", help="a,b,c,d")
-    p.add_argument("--seed", help="comma-separated seed list")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--config", help="flat key = value config file")
+    for key, (name, flag, _, _) in CONFIG_TABLE.items():
+        if flag:
+            p.add_argument(flag, dest=name, help=f"sets {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["print"])
     p.add_argument("--shift", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--sampler", choices=["original", "improved"],
-                   default="improved")
+    p.add_argument("--sampler", choices=SAMPLERS, default="improved")
 
     sub.add_parser("reproduce-tables", help="golden scheduler rows")
 
@@ -429,35 +417,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = _config_from_args(args) if "config" in args else None
         if args.command == "schedule":
-            schedule = build_base_schedule(1000, args.shift)
-            sampler = (sample_improved if args.sampler == "improved"
-                       else sample_original)
-            print(format_sigmas(sampler(schedule, args.steps).sigmas))
+            with _config_errors():
+                schedule = build_base_schedule(1000, args.shift)
+                sigmas = SAMPLERS[args.sampler](schedule, args.steps).sigmas
+            print(format_sigmas(sigmas))
         elif args.command == "reproduce-tables":
             report = reproduce_tables()
             return 0 if report["all_pass"] else 1
         elif args.command == "train":
-            config = _config_from_args(args)
             summary = run_experiment(config)
             print(json.dumps({s: {k: v for k, v in m.items() if k != "interstage"}
                               for s, m in summary["seeds"].items()}, indent=2))
         elif args.command == "infer":
             student = _learned_field(args.checkpoint)
-            grid = default_grid(args.stages, args.shift)
-            rng = np.random.default_rng(args.seed)
-            out = infer_few_step(student, grid, rng.standard_normal((args.n, 2)))
-            _write_points(args.out, out)
+            if args.n < 1:
+                raise ConfigError(f"--n must be >= 1, got {args.n}")
+            with _config_errors():
+                grid = default_grid(args.stages, args.shift)
+                eps = np.random.default_rng(args.seed).standard_normal((args.n, 2))
+            _write_points(args.out, infer_few_step(student, grid, eps))
         elif args.command == "diagnose":
-            config = _config_from_args(args)
             report = diagnose(config, checkpoint=args.checkpoint)
             print(json.dumps(report, indent=2))
         elif args.command == "compare-schedulers":
-            config = _config_from_args(args)
-            steps = tuple(int(s) for s in args.steps.split(","))
+            with _config_errors("--steps: "):
+                steps = _ints(args.steps)
             print(json.dumps(compare_schedulers(config, steps, args.n), indent=2))
         elif args.command == "compare-methods":
-            config = _config_from_args(args)
             print(json.dumps(compare_methods(config), indent=2))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

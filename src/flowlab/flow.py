@@ -42,10 +42,10 @@ class MixtureSpec:
         object.__setattr__(self, "stds", s)
         if len(w) != len(m) or len(w) != len(s):
             raise ValueError("weights, means, stds must have equal length")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if np.any(w <= 0) or not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must be positive and sum to 1")
-        if np.any(s < 0):
-            raise ValueError("stds must be non-negative")
+        if not (np.all(s >= 0) and np.all(np.isfinite(s)) and np.all(np.isfinite(m))):
+            raise ValueError("means and stds must be finite, stds non-negative")
 
     @property
     def mean(self) -> np.ndarray:

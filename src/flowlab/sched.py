@@ -4,8 +4,8 @@ Two samplers are provided for drawing N inference sigmas from a full
 training schedule: the original one (samples N sigmas, then appends 0,
 producing a disproportionately small final step) and the improved one
 (appends 0 to the schedule first, then samples N+1 points evenly so every
-step interval stays proportional). Stepping along these sigmas is
-`flow.solve_on_grid`'s job.
+step interval stays proportional); `SAMPLERS` maps each name to its
+sampler. Stepping along these sigmas is `flow.solve_on_grid`'s job.
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ def sample_improved(schedule: SigmaSchedule, n_steps: int) -> InferenceSigmas:
     # ties away from zero; indices are non-negative so floor(x + 0.5) does it
     idx = np.floor(np.linspace(0.0, T, n_steps + 1) + 0.5).astype(int)
     return InferenceSigmas(full[idx], "improved")
+
+
+SAMPLERS = {"original": sample_original, "improved": sample_improved}
 
 
 def format_sigmas(sigmas) -> str:

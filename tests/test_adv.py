@@ -22,6 +22,13 @@ class TestAdvConfig:
         with pytest.raises(ValueError):
             AdvConfig(lambda_adv=-0.1)
 
+    @pytest.mark.parametrize("weights", [
+        dict(lambda_adv=float("nan")), dict(lambda_fm=float("nan")),
+        dict(lambda_adv=float("inf")), dict(lambda_fm=float("inf"))])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            AdvConfig(**weights)
+
     def test_rejects_bad_probs(self):
         with pytest.raises(ValueError):
             AdvConfig(timestep_probs=(0.5, 0.6))
@@ -72,6 +79,16 @@ class TestLossArithmetic:
     def test_fm_loss_identical_features(self):
         f = [np.ones((3, 4)), np.zeros((3, 8))]
         assert fm_loss(f, [a.copy() for a in f]) == 0.0
+
+    def test_fm_loss_collects_gradient_terms(self):
+        ft = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 3.0]])]
+        fs = [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[4.0, 0.0]])]
+        diffs = []
+        assert fm_loss(ft, fs, diffs) == fm_loss(ft, fs) == 5.5
+        assert len(diffs) == 2
+        for (d, norms), t, s in zip(diffs, ft, fs):
+            np.testing.assert_array_equal(d, s - t)
+            np.testing.assert_array_equal(norms, np.linalg.norm(t - s, axis=-1))
 
     def test_fm_loss_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,19 @@ perfbench/run.py lists the spans it reports and perfbench/tracing.py's
 hooks look spans up by name; a span that no function produces reads 0
 instead of failing. These tests read both files (without importing them)
 and check that every such name is still a public function of its flowlab
-module, which is what the tracer wraps.
+module, which is what the tracer wraps. They also check that every
+ExperimentConfig field and method perfbench/workloads.py uses still exists.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
+
+from flowlab.cli import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,3 +76,46 @@ def test_span_is_a_public_function(span):
 def test_field_class_span_is_a_call(module_name, cls_name, span):
     cls = getattr(importlib.import_module(f"flowlab.{module_name}"), cls_name)
     assert "__call__" in cls.__dict__
+
+
+def _callee(call):
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+
+
+def workload_config_names():
+    """What perfbench/workloads.py uses of ExperimentConfig: keywords of
+    ExperimentConfig(...) and replace(config, ...) calls, attributes read off
+    a variable named config, and attributes read off the class itself."""
+    on_instance, on_class = set(), set()
+    for node in ast.walk(_module_tree("workloads.py")):
+        if isinstance(node, ast.Call) and _callee(node) in ("ExperimentConfig",
+                                                             "replace"):
+            on_instance |= {kw.arg for kw in node.keywords}
+        elif isinstance(node, ast.Attribute):
+            if getattr(node.value, "id", None) == "config":
+                on_instance.add(node.attr)
+            elif getattr(node.value, "attr", None) == "ExperimentConfig":
+                on_class.add(node.attr)
+    return on_instance, on_class
+
+
+ON_INSTANCE, ON_CLASS = workload_config_names()
+
+
+def test_workload_config_names_are_collected():
+    assert {"method", "iterations", "seeds", "eval_samples", "output_dir",
+            "batch", "lr", "teacher_field", "mixture", "grid"} <= ON_INSTANCE
+    assert ON_CLASS == {"eval_samples"}
+
+
+@pytest.mark.parametrize("name", sorted(ON_INSTANCE))
+def test_workload_config_name_is_a_field_or_method(name):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert name in fields or inspect.isfunction(getattr(ExperimentConfig, name, None))
+
+
+@pytest.mark.parametrize("name", sorted(ON_CLASS))
+def test_workload_class_default_exists(name):
+    # a dataclass field with a default is also a class attribute
+    assert name in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert hasattr(ExperimentConfig, name)

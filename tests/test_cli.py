@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from flowlab.cli import (ConfigError, ExperimentConfig, build_parser,
-                         load_config, main, reproduce_tables, run_experiment)
+from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
+                         _config_from_args, build_parser, load_config, main,
+                         reproduce_tables, run_experiment)
 from flowlab.netcore import MlpSpec, init_params, save_params
 
 
@@ -75,6 +77,154 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.mixture_weights == (0.25, 0.75)
         assert cfg.mixture_means == ((-1.0, 0.0), (1.0, 0.5))
+
+
+def every_key_config(tmp_path):
+    """A config that sets every key, each to a value other than its default."""
+    teacher = tmp_path / "teacher.json"
+    save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), teacher)
+    return ExperimentConfig(
+        method="ota+adv", teacher=f"learned:{teacher}",
+        mixture_weights=(0.25, 0.75), mixture_means=((-1.5, 0.5), (1.0, -0.25)),
+        mixture_stds=(0.2, 0.4), stages=3, shift=2.5, substeps=5,
+        scheduler="original", iterations=17, batch=32, lr=1e-05,
+        lambda_adv=0.25, lambda_fm=0.1 + 0.2, gan="lsgan",
+        t_probs=(0.5, 0.3, 0.2), seeds=(3, 11), eval_samples=300,
+        output_dir="runs/every key")
+
+
+# golden to_text() bytes: summary.json embeds them and reruns are compared
+# byte for byte, so a change here is a change of the report format
+DEFAULT_TEXT = """\
+method = ota
+teacher = analytic
+mixture.weights = 0.5,0.5
+mixture.means = -2.0,0.0;2.0,0.0
+mixture.stds = 0.3,0.3
+grid.stages = 4
+grid.shift = 1.0
+grid.substeps = 8
+scheduler = improved
+train.iterations = 2000
+train.batch = 128
+train.lr = 0.001
+adv.lambda_adv = 0.1
+adv.lambda_fm = 1.0
+adv.gan = hinge
+adv.t_probs = 0.4,0.2,0.2,0.2
+seeds = 0
+eval.samples = 4096
+output_dir = runs/out
+"""
+EVERY_KEY_TEXT = """\
+method = ota+adv
+teacher = learned:{teacher}
+mixture.weights = 0.25,0.75
+mixture.means = -1.5,0.5;1.0,-0.25
+mixture.stds = 0.2,0.4
+grid.stages = 3
+grid.shift = 2.5
+grid.substeps = 5
+scheduler = original
+train.iterations = 17
+train.batch = 32
+train.lr = 1e-05
+adv.lambda_adv = 0.25
+adv.lambda_fm = 0.30000000000000004
+adv.gan = lsgan
+adv.t_probs = 0.5,0.3,0.2
+seeds = 3,11
+eval.samples = 300
+output_dir = runs/every key
+"""
+
+
+def _probabilities(k):
+    """k positive floats summing to 1 within the validators' 1e-12."""
+    return st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k).map(
+        lambda w: tuple(x / sum(w) for x in w))
+
+
+@st.composite
+def configs(draw):
+    """Keyword arguments for ExperimentConfig, mostly valid ones, with
+    non-finite floats and arbitrary text among them; the constructor
+    decides what is valid."""
+    k = draw(st.integers(1, 3))
+    stages = draw(st.integers(1, 6))
+    return dict(
+        method=draw(st.sampled_from(["perflow", "ota", "ota+adv"])),
+        mixture_weights=draw(_probabilities(k)),
+        mixture_means=tuple(draw(st.tuples(st.floats(), st.floats()))
+                            for _ in range(k)),
+        mixture_stds=tuple(draw(st.floats(min_value=0)) for _ in range(k)),
+        stages=stages,
+        shift=draw(st.floats(0.05, 20.0)),
+        substeps=draw(st.integers(1, 64)),
+        scheduler=draw(st.sampled_from(["original", "improved"])),
+        iterations=draw(st.integers(0, 10**9)),
+        batch=draw(st.integers(1, 10**6)),
+        lr=draw(st.floats(min_value=0, exclude_min=True)),
+        lambda_adv=draw(st.floats(min_value=0)),
+        lambda_fm=draw(st.floats(min_value=0)),
+        gan=draw(st.sampled_from(["hinge", "lsgan", "wgan"])),
+        t_probs=draw(_probabilities(stages)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**64), min_size=1,
+                                  max_size=4))),
+        eval_samples=draw(st.integers(1, 10**6)),
+        output_dir=draw(st.text(max_size=24)),
+    )
+
+
+class TestConfigTable:
+    def test_default_text_unchanged(self):
+        assert ExperimentConfig().to_text() == DEFAULT_TEXT
+
+    def test_every_key_text_unchanged(self, tmp_path):
+        text = EVERY_KEY_TEXT.format(teacher=tmp_path / "teacher.json")
+        assert every_key_config(tmp_path).to_text() == text
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=configs())
+    def test_text_roundtrip_property(self, tmp_path, fields):
+        try:
+            cfg = ExperimentConfig(**fields)
+        except ConfigError:
+            assume(False)
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg.to_text())
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("text", [" runs/x", "runs/x ", "runs\nx",
+                                      "runs\u2028x", "\t"])
+    def test_unwritable_text_value_rejected(self, text):
+        # to_text could not write these on one config line
+        with pytest.raises(ConfigError, match="output_dir"):
+            ExperimentConfig(output_dir=text)
+
+    def test_flag_and_file_line_agree(self, tmp_path):
+        every = every_key_config(tmp_path)
+        flagged = [(key, flag, fmt(getattr(every, name)))
+                   for key, (name, flag, _, fmt) in CONFIG_TABLE.items() if flag]
+        assert len(flagged) == 14
+        for key, flag, value in flagged:
+            path = tmp_path / "c.cfg"
+            path.write_text(f"{key} = {value}\n")
+            args = build_parser().parse_args(["train", flag, value])
+            from_flag = _config_from_args(args)
+            assert from_flag == load_config(path), key
+            assert from_flag != ExperimentConfig(), key
+
+    def test_flags_override_file(self, tmp_path):
+        # the file alone is invalid (3 stages, 4 timestep probabilities);
+        # file and flags are resolved together
+        path = tmp_path / "c.cfg"
+        path.write_text("method = ota+adv\ngrid.stages = 3\nseeds = 5\n")
+        args = build_parser().parse_args(
+            ["train", "--config", str(path), "--t-probs", "0.5,0.25,0.25"])
+        cfg = _config_from_args(args)
+        assert (cfg.stages, cfg.t_probs, cfg.seeds) == (3, (0.5, 0.25, 0.25), (5,))
 
 
 class TestReproduceTables:
@@ -180,6 +330,42 @@ class TestMainCli:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "a"],
+        ["train", "--seed", ","],
+        ["train", "--t-probs", "x"],
+        ["train", "--stages", "a"],
+        ["train", "--seed", "-1"],
+        ["train", "--iters", "-1"],
+        ["train", "--lr", "-0.001"],
+        ["train", "--lr", "nan"],
+        ["train", "--lambda-adv", "nan"],
+        ["train", "--lambda-fm", "nan"],
+        ["train", "--gan", "foo"],
+        ["schedule", "print", "--steps", "0"],
+        ["schedule", "print", "--shift", "0"],
+        ["compare-schedulers", "--steps", "a"],
+        ["compare-schedulers", "--steps", "0"],
+        ["compare-schedulers", "--n", "300"],
+        ["infer", "--n", "-1"],
+        ["infer", "--stages", "0"],
+        ["infer", "--shift", "-1"],
+    ], ids=" ".join)
+    def test_bad_flag_value_exit_one_before_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        if argv[0] == "infer":
+            ckpt = tmp_path / "student.json"
+            save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), ckpt)
+            argv = [*argv, "--checkpoint", str(ckpt)]
+        if argv[0] != "schedule":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("break_checkpoint", [

@@ -32,6 +32,17 @@ class TestMixtureSpec:
         with pytest.raises(ValueError):
             MixtureSpec(np.array([0.5, 0.4]), np.zeros((2, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("weights, means, stds", [
+        ([np.nan, 0.5], np.zeros((2, 2)), np.ones(2)),
+        ([0.5, 0.5], [[np.nan, 0.0], [1.0, 0.0]], np.ones(2)),
+        ([0.5, 0.5], [[np.inf, 0.0], [1.0, 0.0]], np.ones(2)),
+        ([0.5, 0.5], np.zeros((2, 2)), [np.nan, 1.0]),
+        ([0.5, 0.5], np.zeros((2, 2)), [np.inf, 1.0]),
+    ], ids=["nan-weight", "nan-mean", "inf-mean", "nan-std", "inf-std"])
+    def test_non_finite_rejected(self, weights, means, stds):
+        with pytest.raises(ValueError):
+            MixtureSpec(np.array(weights), np.array(means), np.array(stds))
+
     def test_mean(self):
         spec = default_benchmark()
         assert np.allclose(spec.mean, [0.0, 0.0])
