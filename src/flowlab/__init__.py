@@ -10,9 +10,9 @@ from .flow import (MixtureSpec, AnalyticField, LearnedField, TrainConfig,
                    analytic_velocity, ode_solve, train_flow_matching)
 from .distill import (StageGrid, default_grid, rollout, train_student,
                       infer_few_step)
-from .adv import (AdvConfig, Discriminator, TrajectoryStates,
-                  init_discriminator, trajectory_states, adv_loss_student,
-                  disc_loss, fm_loss, sample_timestep, train_adversarial)
+from .adv import (AdvConfig, init_discriminator, trajectory_states,
+                  adv_loss_student, disc_loss, fm_loss, sample_timestep,
+                  train_adversarial)
 from .diag import (w2_exact_small, energy_distance, energy_permutation_test,
                    teacher_trajectory_divergence, interstage_distance,
                    expected_velocity_residual)

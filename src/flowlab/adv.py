@@ -46,48 +46,25 @@ class AdvConfig:
             raise ValueError("timestep_probs length must equal the stage count")
 
 
-@dataclass
-class Discriminator:
-    """MLP backbone whose hidden activations are the per-layer features;
-    the final affine layer is the score head. Conditioned on the noise
-    level via the same time features as the velocity fields."""
-
-    params: MlpParams
-
-    @property
-    def n_feature_layers(self) -> int:
-        return len(self.params.weights) - 1
-
-
 def init_discriminator(widths: tuple = None, activation: str = "silu",
-                       seed: int = 0) -> Discriminator:
+                       seed: int = 0) -> MlpParams:
+    """MLP whose hidden activations are the per-layer features and whose
+    final affine layer is the scalar score head. Conditioned on the noise
+    level via the same time features as the velocity fields."""
     if widths is None:
         widths = DEFAULT_WIDTHS[:-1] + (1,)
     if widths[-1] != 1:
         raise ValueError("discriminator head must be scalar")
-    return Discriminator(init_params(MlpSpec(widths, activation, seed)))
-
-
-@dataclass(frozen=True)
-class TrajectoryStates:
-    """States recorded at the stage-boundary sigmas t_{K-1} .. t_{to_k}."""
-
-    sigmas: np.ndarray   # (K - to_k,)
-    states: np.ndarray   # (K - to_k,) + state shape
-    source: str          # "teacher" | "student"
+    return init_params(MlpSpec(widths, activation, seed))
 
 
 def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
-                      source: str, to_k: int = 0) -> TrajectoryStates:
-    """Solve from shared eps down to boundary t_{to_k}, recording the state
-    at every stage boundary below the noise end.
-
-    Students use substeps_per_stage = 1 (their own few-step rollout);
-    teachers use many sub-steps.
-    """
+                      to_k: int = 0) -> list:
+    """Solve from shared eps down to boundary t_{to_k}; the states at every
+    stage boundary t_{K-1} .. t_{to_k} below the noise end. The adversarial
+    objective's real states are the teacher's, solved with many sub-steps."""
     states = rollout(field, grid, eps, grid.n_stages, to_k, substeps_per_stage)
-    return TrajectoryStates(grid.boundaries[1:len(states)].copy(),
-                            np.stack(states[1:]), source)
+    return states[1:]
 
 
 def adv_loss_student(scores) -> float:
@@ -188,7 +165,7 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
     if disc_seed is None:
         disc_seed = cfg.seed + 1
     disc = init_discriminator(seed=disc_seed)
-    disc_state = init_adam(disc.params, lr=cfg.learning_rate)
+    disc_state = init_adam(disc, lr=cfg.learning_rate)
 
     for it in range(cfg.iterations):
         z_t, t, v_t = sample_training_batch(teacher, data, "ota", grid,
@@ -202,8 +179,7 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
             to_k = grid.n_stages - stage
             sigma = grid.t(to_k)
             real = trajectory_states(teacher, grid, eps,
-                                     grid.teacher_substeps_per_stage,
-                                     "teacher", to_k).states[-1]
+                                     grid.teacher_substeps_per_stage, to_k)[-1]
             # the student unclipped, as distill_grads trains it; one tape
             # per stage for the generator's pullback
             tapes = []
@@ -214,19 +190,19 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
             # discriminator step: student states detached
             xr = field_features(real, sigma)
             xf = field_features(fake, sigma)
-            sr, tape_r = forward_with_hidden(disc.params, xr)
-            sf, tape_f = forward_with_hidden(disc.params, xf)
+            sr, tape_r = forward_with_hidden(disc, xr)
+            sf, tape_f = forward_with_hidden(disc, xf)
             d_loss = disc_loss(sr, sf, adv_cfg.gan_kind)
             gr, gf = _disc_loss_score_grads(sr, sf, adv_cfg.gan_kind)
-            dgrads, _ = backward(disc.params, tape_r, gr)
-            dgrads_f, _ = backward(disc.params, tape_f, gf)
+            dgrads, _ = backward(disc, tape_r, gr)
+            dgrads_f, _ = backward(disc, tape_f, gf)
             dgrads.flat += dgrads_f.flat
-            disc.params, disc_state = adam_step(disc.params, dgrads, disc_state)
+            disc, disc_state = adam_step(disc, dgrads, disc_state)
 
             # student step: adversarial + feature-matching grads through the
             # updated discriminator and the student's own rollout
-            sf, tape_f = forward_with_hidden(disc.params, xf)
-            _, tape_r = forward_with_hidden(disc.params, xr)
+            sf, tape_f = forward_with_hidden(disc, xf)
+            _, tape_r = forward_with_hidden(disc, xr)
             l_adv = adv_loss_student(sf)
             diffs = []
             l_fm = fm_loss(tape_r.hidden, tape_f.hidden, diffs)
@@ -236,7 +212,7 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
             hidden_grads = [
                 adv_cfg.lambda_fm * d / (n * np.maximum(norms, 1e-12)[:, None])
                 for d, norms in diffs]
-            _, x_grad = backward(disc.params, tape_f, score_grad, hidden_grads)
+            _, x_grad = backward(disc, tape_f, score_grad, hidden_grads)
             grads.flat += _backprop_rollout(params, grid, tapes,
                                             x_grad[:, :2]).flat
 

@@ -2,8 +2,10 @@
 
 Subcommands: schedule, reproduce-tables, train, infer, diagnose,
 compare-schedulers, compare-methods. Exit codes: 0 success, 1 config
-error, 2 training failure. Every report embeds the resolved config and
-seed so it can be regenerated bit-identically.
+error, 2 training failure. Every usage error (a bad or missing flag, a
+bad value, an unusable path) is a config error: one `config error:` line
+on stderr. Every report embeds the resolved config and seed so it can be
+regenerated bit-identically.
 """
 
 from __future__ import annotations
@@ -107,9 +109,7 @@ class ExperimentConfig:
         return AdvConfig(self.lambda_adv, self.lambda_fm, self.gan, self.t_probs)
 
     def grid(self) -> StageGrid:
-        schedule = build_base_schedule(1000, self.shift)
-        sigmas = SAMPLERS[self.scheduler](schedule, self.stages).sigmas
-        return StageGrid(sigmas, self.substeps)
+        return default_grid(self.stages, self.shift, self.substeps, self.scheduler)
 
     def to_text(self) -> str:
         return "".join(f"{key} = {fmt(getattr(self, name))}\n"
@@ -381,8 +381,16 @@ def _add_config_flags(p):
             p.add_argument(flag, dest=name, help=f"sets {key}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 with one `config error:` line on a usage error, instead of
+    argparse's usage block and exit 2 (the training-failure code)."""
+
+    def error(self, message):
+        self.exit(1, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flowlab")
+    parser = _Parser(prog="flowlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print sampler output")
@@ -415,7 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
     try:
         config = _config_from_args(args) if "config" in args else None
         if args.command == "schedule":
@@ -447,7 +458,7 @@ def main(argv=None) -> int:
             print(json.dumps(compare_schedulers(config, steps, args.n), indent=2))
         elif args.command == "compare-methods":
             print(json.dumps(compare_methods(config), indent=2))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unusable path
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TrainingError as exc:

@@ -20,7 +20,7 @@ from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
                    field_features, interpolate, ode_solve, sample_mixture)
 from .netcore import (MlpSpec, TrainingError, adam_step, backward, forward,
                       init_adam, init_params)
-from .sched import build_base_schedule, sample_improved
+from .sched import SAMPLERS, build_base_schedule
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,11 @@ class StageGrid:
 
 
 def default_grid(n_stages: int, shift: float = 1.0,
-                 teacher_substeps_per_stage: int = 8) -> StageGrid:
-    """Boundaries from the improved sampler so training and inference share
-    the same fixed schedule."""
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
-    sig = sample_improved(build_base_schedule(1000, shift), n_stages)
+                 teacher_substeps_per_stage: int = 8,
+                 sampler: str = "improved") -> StageGrid:
+    """Boundaries from a named sigma sampler (`sched.SAMPLERS`), so training
+    and inference share the same fixed schedule."""
+    sig = SAMPLERS[sampler](build_base_schedule(1000, shift), n_stages)
     return StageGrid(sig.sigmas, teacher_substeps_per_stage)
 
 

@@ -131,8 +131,6 @@ def field_features(z, sigma):
 class AnalyticField:
     """Closed-form teacher; frozen below SIGMA_FLOOR."""
 
-    kind = "analytic"
-
     def __init__(self, spec: MixtureSpec):
         self.spec = spec
 
@@ -143,8 +141,6 @@ class AnalyticField:
 
 class LearnedField:
     """MLP-backed velocity field; frozen below SIGMA_FLOOR."""
-
-    kind = "learned"
 
     def __init__(self, params: MlpParams):
         self.params = params

@@ -25,7 +25,9 @@ def shift_sigma(sigma, shift: float):
         raise ValueError(f"shift must be positive, got {shift}")
     if np.any(sigma < 0) or np.any(sigma > 1):
         raise ValueError("sigma must lie in [0, 1]")
-    out = shift * sigma / (1.0 + (shift - 1.0) * sigma)
+    # at sigma = 1 the rounded 1 + (shift - 1) need not equal shift
+    den = np.where(sigma == 1.0, shift, 1.0 + (shift - 1.0) * sigma)
+    out = shift * sigma / den
     return float(out) if out.ndim == 0 else out
 
 
@@ -57,21 +59,14 @@ class InferenceSigmas:
     """N+1 sigmas for an N-step inference run, ending at exactly 0."""
 
     sigmas: np.ndarray
-    method: str  # "original" | "improved"
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas, dtype=np.float64)
         object.__setattr__(self, "sigmas", sig)
-        if self.method not in ("original", "improved"):
-            raise ValueError(f"unknown sampling method {self.method!r}")
         if sig[0] != 1.0 or sig[-1] != 0.0:
             raise ValueError("inference sigmas must run from 1.0 to exactly 0.0")
         if np.any(np.diff(sig) >= 0):
             raise ValueError("inference sigmas must be strictly decreasing")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.sigmas) - 1
 
 
 def build_base_schedule(num_train_timesteps: int = 1000, shift: float = 1.0) -> SigmaSchedule:
@@ -97,7 +92,7 @@ def sample_original(schedule: SigmaSchedule, n_steps: int) -> InferenceSigmas:
     t = schedule.train_sigmas * T
     t_grid = np.linspace(t[0], t[-1], n_steps)
     sig = shift_sigma(t_grid / T, schedule.shift)
-    return InferenceSigmas(np.append(sig, 0.0), "original")
+    return InferenceSigmas(np.append(sig, 0.0))
 
 
 def sample_improved(schedule: SigmaSchedule, n_steps: int) -> InferenceSigmas:
@@ -113,7 +108,7 @@ def sample_improved(schedule: SigmaSchedule, n_steps: int) -> InferenceSigmas:
     full = np.append(schedule.train_sigmas, 0.0)
     # ties away from zero; indices are non-negative so floor(x + 0.5) does it
     idx = np.floor(np.linspace(0.0, T, n_steps + 1) + 0.5).astype(int)
-    return InferenceSigmas(full[idx], "improved")
+    return InferenceSigmas(full[idx])
 
 
 SAMPLERS = {"original": sample_original, "improved": sample_improved}

@@ -116,7 +116,8 @@ class TestSampleTimestep:
 class TestDiscriminator:
     def test_feature_layer_count(self):
         d = init_discriminator()
-        assert d.n_feature_layers == 3
+        _, tape = forward_with_hidden(d, field_features(np.zeros((1, 2)), 0.5))
+        assert len(tape.hidden) == 3
 
     def test_scalar_head_enforced(self):
         with pytest.raises(ValueError):
@@ -125,7 +126,7 @@ class TestDiscriminator:
     def test_forward_shapes(self):
         d = init_discriminator(widths=(5, 16, 8, 1))
         z = np.random.default_rng(2).standard_normal((6, 2))
-        score, tape = forward_with_hidden(d.params, field_features(z, 0.5))
+        score, tape = forward_with_hidden(d, field_features(z, 0.5))
         assert score.shape == (6, 1)
         assert [f.shape for f in tape.hidden] == [(6, 16), (6, 8)]
 
@@ -145,11 +146,10 @@ class TestTrajectoryStates:
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4)
         eps = np.random.default_rng(3).standard_normal((8, 2))
-        traj = trajectory_states(teacher, grid, eps, 8, "teacher")
-        assert traj.states.shape == (4, 8, 2)
-        assert np.array_equal(traj.sigmas, grid.boundaries[1:])
-        assert np.array_equal(traj.states,
+        states = trajectory_states(teacher, grid, eps, 8)
+        assert np.array_equal(np.stack(states),
                               np.stack(rollout(teacher, grid, eps, 4, 0, 8)[1:]))
+        assert np.stack(states).shape == (4, 8, 2)
 
     def test_consistent_with_direct_solve(self):
         # stopping early at t_{to_k} records a bitwise prefix of the full
@@ -159,10 +159,9 @@ class TestTrajectoryStates:
         eps = np.random.default_rng(4).standard_normal((8, 2))
         reference = per_stage_reference(teacher, grid, eps, 8)
         for to_k in range(4):
-            traj = trajectory_states(teacher, grid, eps, 8, "teacher", to_k)
-            assert len(traj.states) == len(traj.sigmas) == 4 - to_k
-            assert np.array_equal(traj.sigmas, grid.boundaries[1:5 - to_k])
-            for j, state in enumerate(traj.states):
+            states = trajectory_states(teacher, grid, eps, 8, to_k)
+            assert len(states) == 4 - to_k
+            for j, state in enumerate(states):
                 assert np.array_equal(state, reference[j])
 
 

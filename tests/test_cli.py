@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -238,6 +239,15 @@ class TestReproduceTables:
         assert all("PASS" in line for line in lines)
 
 
+def one_config_error(capsys) -> str:
+    """The one stderr line of a rejected invocation, which wrote no stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert captured.out == ""
+    return err[0]
+
+
 def tiny_config(tmp_path, **kw):
     base = dict(iterations=30, batch=16, eval_samples=256, seeds=(0,),
                 output_dir=str(tmp_path / "out"))
@@ -352,6 +362,14 @@ class TestMainCli:
         ["infer", "--n", "-1"],
         ["infer", "--stages", "0"],
         ["infer", "--shift", "-1"],
+        # values argparse itself rejects, and unknown flags
+        ["schedule", "print", "--steps", "a"],
+        ["schedule", "print", "--shift", "x"],
+        ["schedule", "print", "--sampler", "foo"],
+        ["infer", "--n", "a"],
+        ["infer", "--stages", "x"],
+        ["compare-schedulers", "--n", "a"],
+        ["train", "--bogus", "1"],
     ], ids=" ".join)
     def test_bad_flag_value_exit_one_before_output(self, tmp_path, capsys, argv):
         out = tmp_path / "run"
@@ -362,11 +380,35 @@ class TestMainCli:
         if argv[0] != "schedule":
             argv = [*argv, "--out", str(out)]
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
-        assert captured.out == ""
+        one_config_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--config", "{dir}"], "{dir}"),
+        (["train", "--iters", "0", "--out", "{file}/x"], "{file}/x"),
+        (["infer", "--checkpoint", "{file}", "--out", "{dir}"], "{dir}"),
+        (["infer", "--checkpoint", "{file}"], "--out"),
+    ], ids=["config-is-dir", "out-under-file", "infer-out-is-dir",
+            "infer-out-missing"])
+    def test_bad_path_exit_one_naming_it(self, tmp_path, capsys, argv, named):
+        paths = {"dir": tmp_path / "a dir", "file": tmp_path / "student.json"}
+        paths["dir"].mkdir()
+        save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), paths["file"])
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert named.format(**paths) in one_config_error(capsys)
+
+    @pytest.mark.parametrize("command", sorted(next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)).choices))
+    def test_every_subcommand_rejects_unknown_flag(self, capsys, command):
+        # a new subcommand's parser inherits the one usage-error exit
+        assert main([command, "--no-such-flag"]) == 1
+        one_config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exit_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("break_checkpoint", [
         lambda d: d.update(weights=d["weights"][:2], biases=d["biases"][:2]),

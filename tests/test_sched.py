@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flowlab.flow import solve_on_grid
-from flowlab.sched import (InferenceSigmas, SigmaSchedule, build_base_schedule,
-                           format_sigmas, sample_improved, sample_original,
-                           shift_sigma)
+from flowlab.sched import (SAMPLERS, InferenceSigmas, SigmaSchedule,
+                           build_base_schedule, format_sigmas, sample_improved,
+                           sample_original, shift_sigma)
+
+SHIFTS = st.floats(0.0, 10.0, exclude_min=True)
+T = 1000
 
 
 class TestShiftSigma:
@@ -27,6 +31,19 @@ class TestShiftSigma:
             assert np.all(np.diff(out) >= 0)
             strict = np.diff(sig) > 0
             assert np.all(np.diff(out)[strict] > 0)
+
+    @given(shift=SHIFTS)
+    def test_fixed_points_property(self, shift):
+        assert shift_sigma(0.0, shift) == 0.0
+        assert shift_sigma(1.0, shift) == 1.0
+
+    @given(shift=SHIFTS, a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+    def test_monotone_property(self, shift, a, b):
+        # the rounded map is monotone down to its rounding error, a few
+        # ulps of sigma; closer pairs can swap by an ulp
+        a, b = sorted((a, b))
+        assume(b - a > 1e-12)
+        assert shift_sigma(a, shift) <= shift_sigma(b, shift)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -123,6 +140,34 @@ class TestSamplerProperties:
             assert sig[0] == 1.0 and sig[-1] == 0.0
             assert np.all(np.diff(sig) < 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(shift=SHIFTS, n=st.integers(1, T))
+    def test_any_shift_and_step_count(self, shift, n):
+        # once the shifted sigmas underflow, float64 holds no strictly
+        # decreasing grid and a ValueError says so: shift / T is subnormal
+        # below 1e-300, and the original sampler, which shifts twice
+        # (about shift**2 * sigma), underflows below 1e-150
+        limits = {"original": 1e-150, "improved": 1e-300}
+        for name, sampler in SAMPLERS.items():
+            try:
+                sig = sampler(build_base_schedule(T, shift), n).sigmas
+            except ValueError:
+                assert shift < limits[name]
+                continue
+            assert len(sig) == n + 1
+            assert sig[0] == 1.0 and sig[-1] == 0.0
+            assert np.all(np.diff(sig) < 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shift=st.floats(1e-300, 10.0), n=st.integers(1, T))
+    def test_improved_steps_equal_in_unshifted_t(self, shift, n):
+        sig = sample_improved(build_base_schedule(T, shift), n).sigmas
+        raw = sig / (shift * (1.0 - sig) + sig)  # shift_sigma inverted
+        # unshifted sigmas are 1 - i/T for indices i; rounding each index
+        # to an integer moves a step by less than one index from T/n
+        steps = -np.diff(raw) * T
+        assert np.all(np.abs(steps - T / n) < 1.0)
+
     def test_improved_proportional_steps_shift1(self):
         sig = sample_improved(build_base_schedule(1000, 1.0), 4).sigmas
         diffs = np.diff(sig)
@@ -182,8 +227,4 @@ class TestTypeInvariants:
 
     def test_inference_rejects_nonzero_tail(self):
         with pytest.raises(ValueError):
-            InferenceSigmas(np.array([1.0, 0.5, 0.1]), "improved")
-
-    def test_inference_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            InferenceSigmas(np.array([1.0, 0.5, 0.0]), "other")
+            InferenceSigmas(np.array([1.0, 0.5, 0.1]))
