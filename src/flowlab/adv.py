@@ -7,7 +7,8 @@ student is trained on the combined objective
 where L_adv pushes discriminator scores up on student states and L_FM
 matches the discriminator's intermediate features between the two
 trajectories. Generator gradients are backpropagated through the
-student's own few-step rollout.
+student's own few-step rollout. `train_adversarial` is one step function,
+discriminator step then student gradients, for `flow.fit`.
 """
 
 from __future__ import annotations
@@ -18,16 +19,30 @@ import numpy as np
 
 from .distill import StageGrid, distill_grads, rollout, sample_training_batch
 from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
-                   field_features)
-from .netcore import (MlpParams, MlpSpec, TrainingError, adam_step, backward,
-                      forward, forward_with_hidden, init_adam, init_params)
+                   field_features, fit)
+from .netcore import (MlpParams, MlpSpec, adam_step, backward, forward,
+                      forward_with_hidden, init_adam, init_params)
+
+
+# per kind: (real scores r, fake scores f) -> (loss, dloss/dr, dloss/df)
+GAN_LOSSES = {
+    "hinge": lambda r, f: (
+        np.mean(np.maximum(0.0, 1.0 - r)) + np.mean(np.maximum(0.0, 1.0 + f)),
+        -(r < 1.0).astype(np.float64) / r.size,
+        (f > -1.0).astype(np.float64) / f.size),
+    "lsgan": lambda r, f: (np.mean((r - 1.0) ** 2) + np.mean(f ** 2),
+                           2.0 * (r - 1.0) / r.size, 2.0 * f / f.size),
+    "wgan": lambda r, f: (np.mean(f) - np.mean(r),
+                          np.full_like(r, -1.0 / r.size),
+                          np.full_like(f, 1.0 / f.size)),
+}
 
 
 @dataclass(frozen=True)
 class AdvConfig:
     lambda_adv: float = 0.1
     lambda_fm: float = 1.0
-    gan_kind: str = "hinge"  # "hinge" | "lsgan" | "wgan"
+    gan_kind: str = "hinge"  # a GAN_LOSSES key
     timestep_probs: tuple = (0.4, 0.2, 0.2, 0.2)
 
     def __post_init__(self):
@@ -35,7 +50,7 @@ class AdvConfig:
         object.__setattr__(self, "timestep_probs", probs)
         if not (0 <= self.lambda_adv < np.inf and 0 <= self.lambda_fm < np.inf):
             raise ValueError("loss weights must be finite and >= 0")
-        if self.gan_kind not in ("hinge", "lsgan", "wgan"):
+        if self.gan_kind not in GAN_LOSSES:
             raise ValueError(f"unknown gan_kind {self.gan_kind!r}")
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("timestep_probs must be non-negative and sum to 1")
@@ -75,29 +90,20 @@ def adv_loss_student(scores) -> float:
     return float(-scores.mean())
 
 
-def disc_loss(real_scores, fake_scores, kind: str) -> float:
+def disc_loss(real_scores, fake_scores, kind: str,
+              score_grads: list = None) -> float:
+    """Discriminator loss of a GAN_LOSSES kind; score_grads, if given,
+    collects its cotangents with respect to the real and the fake scores."""
     r = np.asarray(real_scores, dtype=np.float64)
     f = np.asarray(fake_scores, dtype=np.float64)
     if r.size == 0 or f.size == 0:
         raise ValueError("need nonempty score batches")
-    if kind == "hinge":
-        return float(np.mean(np.maximum(0.0, 1.0 - r)) + np.mean(np.maximum(0.0, 1.0 + f)))
-    if kind == "lsgan":
-        return float(np.mean((r - 1.0) ** 2) + np.mean(f ** 2))
-    if kind == "wgan":
-        return float(np.mean(f) - np.mean(r))
-    raise ValueError(f"unknown gan_kind {kind!r}")
-
-
-def _disc_loss_score_grads(r, f, kind):
-    if kind == "hinge":
-        return (-(r < 1.0).astype(np.float64) / r.size,
-                (f > -1.0).astype(np.float64) / f.size)
-    if kind == "lsgan":
-        return 2.0 * (r - 1.0) / r.size, 2.0 * f / f.size
-    if kind == "wgan":
-        return np.full_like(r, -1.0 / r.size), np.full_like(f, 1.0 / f.size)
-    raise ValueError(f"unknown gan_kind {kind!r}")
+    if kind not in GAN_LOSSES:
+        raise ValueError(f"unknown gan_kind {kind!r}")
+    loss, gr, gf = GAN_LOSSES[kind](r, f)
+    if score_grads is not None:
+        score_grads.extend((gr, gf))
+    return float(loss)
 
 
 def fm_loss(teacher_features, student_features, diffs: list = None) -> float:
@@ -124,101 +130,89 @@ def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
     return int(rng.choice(len(cfg.timestep_probs), p=cfg.timestep_probs)) + 1
 
 
-def _backprop_rollout(params, grid, tapes, g_state):
-    """Chain dL/dz back through the student's one-step-per-stage rollout
-    (one tape per stage, from t_K down) into parameter gradients."""
+def _generator_grads(params, grid, tapes, disc, xr, xf, adv_cfg: AdvConfig):
+    """(l_adv, l_fm, student gradients of lambda_adv * l_adv + lambda_fm *
+    l_fm) with disc and the real features xr fixed: the discriminator's score
+    and feature cotangents at the fake features xf, chained back through the
+    student's one-step-per-stage rollout (one tape per stage, from t_K)."""
+    sf, tape_f = forward_with_hidden(disc, xf)
+    _, tape_r = forward_with_hidden(disc, xr)
+    l_adv = adv_loss_student(sf)
+    diffs = []
+    l_fm = fm_loss(tape_r.hidden, tape_f.hidden, diffs)
+
+    n = len(xf)
+    score_grad = np.full((n, 1), -adv_cfg.lambda_adv / n)
+    hidden_grads = [
+        adv_cfg.lambda_fm * d / (n * np.maximum(norms, 1e-12)[:, None])
+        for d, norms in diffs]
+    _, x_grad = backward(disc, tape_f, score_grad, hidden_grads)
     acc = MlpParams(params.spec)
-    g = g_state
+    g = x_grad[:, :2]  # time features carry no state dependence
     for i in reversed(range(len(tapes))):
         k = grid.n_stages - i
         grads, x_grad = backward(params, tapes[i],
                                  (grid.t(k - 1) - grid.t(k)) * g)
         acc.flat += grads.flat
-        g = g + x_grad[:, :2]  # time features carry no state dependence
-    return acc
+        g = g + x_grad[:, :2]
+    return l_adv, l_fm, acc
 
 
 def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
                       net: MlpSpec = None, adv_cfg: AdvConfig = AdvConfig(),
                       cfg: TrainConfig = TrainConfig(),
                       disc_seed: int = None, history: list = None) -> LearnedField:
-    """Alternating discriminator/student updates (1:1).
+    """Alternating discriminator/student updates (1:1), run by `flow.fit`.
 
-    Distillation pairs are always OTA-style and drawn from an RNG stream
-    seeded exactly like the plain trainer's, so with both lambdas at zero
-    the student's parameter trajectory is bit-identical to
-    train_student(..., method="ota", ...) under the same seed. All
-    adversarial draws come from an independent stream.
-
-    history, if given, collects (iteration, l_dist, l_adv, l_fm, d_loss)
-    rows.
+    Distillation pairs are always OTA-style and drawn from fit's rng, so
+    with both lambdas at zero the student's parameter trajectory is
+    bit-identical to train_student(..., method="ota", ...) under the same
+    seed. All adversarial draws come from an independent stream. history
+    rows are (l_dist, l_adv, l_fm, d_loss).
     """
-    if net is None:
-        net = MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed)
     adv_cfg.check_stages(grid.n_stages)
-    params = init_params(net)
-    state = init_adam(params, lr=cfg.learning_rate)
-    rng_pairs = np.random.default_rng(cfg.seed)
     rng_adv = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xADD]))
     adversarial = adv_cfg.lambda_adv > 0 or adv_cfg.lambda_fm > 0
-
-    if disc_seed is None:
-        disc_seed = cfg.seed + 1
-    disc = init_discriminator(seed=disc_seed)
+    disc = init_discriminator(
+        seed=cfg.seed + 1 if disc_seed is None else disc_seed)
     disc_state = init_adam(disc, lr=cfg.learning_rate)
 
-    for it in range(cfg.iterations):
-        z_t, t, v_t = sample_training_batch(teacher, data, "ota", grid,
-                                            cfg.batch_size, rng_pairs)
-        l_dist, grads = distill_grads(params, z_t, t, v_t)
-        l_adv = l_fm = d_loss = 0.0
+    def step(params, rng_pairs):
+        nonlocal disc, disc_state
+        l_dist, grads = distill_grads(params, *sample_training_batch(
+            teacher, data, "ota", grid, cfg.batch_size, rng_pairs))
+        if not adversarial:
+            return (l_dist, 0.0, 0.0, 0.0), grads
 
-        if adversarial:
-            eps = rng_adv.standard_normal((cfg.batch_size, 2))
-            stage = sample_timestep(adv_cfg, rng_adv)
-            to_k = grid.n_stages - stage
-            sigma = grid.t(to_k)
-            real = trajectory_states(teacher, grid, eps,
-                                     grid.teacher_substeps_per_stage, to_k)[-1]
-            # the student unclipped, as distill_grads trains it; one tape
-            # per stage for the generator's pullback
-            tapes = []
-            fake = rollout(
-                lambda z, s: forward(params, field_features(z, s), tapes),
-                grid, eps, grid.n_stages, to_k, 1)[-1]
+        eps = rng_adv.standard_normal((cfg.batch_size, 2))
+        stage = sample_timestep(adv_cfg, rng_adv)
+        to_k = grid.n_stages - stage
+        sigma = grid.t(to_k)
+        real = trajectory_states(teacher, grid, eps,
+                                 grid.teacher_substeps_per_stage, to_k)[-1]
+        # the student unclipped, as distill_grads trains it; one tape per
+        # stage for the generator's pullback
+        tapes = []
+        fake = rollout(
+            lambda z, s: forward(params, field_features(z, s), tapes),
+            grid, eps, grid.n_stages, to_k, 1)[-1]
 
-            # discriminator step: student states detached
-            xr = field_features(real, sigma)
-            xf = field_features(fake, sigma)
-            sr, tape_r = forward_with_hidden(disc, xr)
-            sf, tape_f = forward_with_hidden(disc, xf)
-            d_loss = disc_loss(sr, sf, adv_cfg.gan_kind)
-            gr, gf = _disc_loss_score_grads(sr, sf, adv_cfg.gan_kind)
-            dgrads, _ = backward(disc, tape_r, gr)
-            dgrads_f, _ = backward(disc, tape_f, gf)
-            dgrads.flat += dgrads_f.flat
-            disc, disc_state = adam_step(disc, dgrads, disc_state)
+        # discriminator step: student states detached
+        xr, xf = field_features(real, sigma), field_features(fake, sigma)
+        sr, tape_r = forward_with_hidden(disc, xr)
+        sf, tape_f = forward_with_hidden(disc, xf)
+        score_grads = []
+        d_loss = disc_loss(sr, sf, adv_cfg.gan_kind, score_grads)
+        dgrads, _ = backward(disc, tape_r, score_grads[0])
+        dgrads_f, _ = backward(disc, tape_f, score_grads[1])
+        dgrads.flat += dgrads_f.flat
+        disc, disc_state = adam_step(disc, dgrads, disc_state)
 
-            # student step: adversarial + feature-matching grads through the
-            # updated discriminator and the student's own rollout
-            sf, tape_f = forward_with_hidden(disc, xf)
-            _, tape_r = forward_with_hidden(disc, xr)
-            l_adv = adv_loss_student(sf)
-            diffs = []
-            l_fm = fm_loss(tape_r.hidden, tape_f.hidden, diffs)
+        # student step: adversarial + feature-matching grads through the
+        # updated discriminator and the student's own rollout
+        l_adv, l_fm, gen_grads = _generator_grads(params, grid, tapes, disc,
+                                                  xr, xf, adv_cfg)
+        grads.flat += gen_grads.flat
+        return (l_dist, l_adv, l_fm, d_loss), grads
 
-            n = cfg.batch_size
-            score_grad = np.full((n, 1), -adv_cfg.lambda_adv / n)
-            hidden_grads = [
-                adv_cfg.lambda_fm * d / (n * np.maximum(norms, 1e-12)[:, None])
-                for d, norms in diffs]
-            _, x_grad = backward(disc, tape_f, score_grad, hidden_grads)
-            grads.flat += _backprop_rollout(params, grid, tapes,
-                                            x_grad[:, :2]).flat
-
-        if not np.isfinite(l_dist + l_adv + l_fm + d_loss):
-            raise TrainingError("adversarial training diverged")
-        if history is not None:
-            history.append((it, l_dist, l_adv, l_fm, d_loss))
-        params, state = adam_step(params, grads, state)
-    return LearnedField(params)
+    return fit(step, net, cfg, history)

@@ -187,10 +187,9 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**_read_config(path))
 
 
-def _write_points(path, points):
-    with open(path, "w") as f:
-        for x, y in np.asarray(points, dtype=np.float64):
-            f.write(f"{float(x)!r} {float(y)!r}\n")
+def _write_points(f, points):
+    for x, y in np.asarray(points, dtype=np.float64):
+        f.write(f"{float(x)!r} {float(y)!r}\n")
 
 
 def _train_one(config: ExperimentConfig, seed: int, history: list):
@@ -205,7 +204,7 @@ def _train_one(config: ExperimentConfig, seed: int, history: list):
         losses = []
         student = train_student(teacher, config.mixture(), config.method,
                                 grid, cfg=cfg, history=losses)
-        history.extend((i, l, 0.0, 0.0, 0.0) for i, l in enumerate(losses))
+        history.extend((l, 0.0, 0.0, 0.0) for l in losses)
     return teacher, grid, student
 
 
@@ -248,11 +247,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             continue
         with open(out / f"losses_seed{seed}.csv", "w") as f:
             f.write("iter,l_dist,l_adv,l_fm,d_loss\n")
-            for row in history:
-                f.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r}\n")
+            for it, row in enumerate(history):
+                f.write(f"{it},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n")
         save_params(student.params, out / f"checkpoint_seed{seed}.json")
         samples, metrics = _evaluate(config, seed, teacher, grid, student)
-        _write_points(out / f"samples_seed{seed}.txt", samples)
+        with open(out / f"samples_seed{seed}.txt", "w") as f:
+            _write_points(f, samples)
         metrics["status"] = "ok"
         summary["seeds"][str(seed)] = metrics
     summary["status"] = status
@@ -448,7 +448,8 @@ def main(argv=None) -> int:
             with _config_errors():
                 grid = default_grid(args.stages, args.shift)
                 eps = np.random.default_rng(args.seed).standard_normal((args.n, 2))
-            _write_points(args.out, infer_few_step(student, grid, eps))
+            with open(args.out, "w") as f:  # an unusable --out fails first
+                _write_points(f, infer_few_step(student, grid, eps))
         elif args.command == "diagnose":
             report = diagnose(config, checkpoint=args.checkpoint)
             print(json.dumps(report, indent=2))

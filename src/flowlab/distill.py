@@ -7,7 +7,8 @@ It makes the start state z_{t_k} of a stage in one of two ways:
   * perflow: linear interpolation of data and noise (off-trajectory);
   * ota: solve the teacher's ODE from noise down to t_k (on-trajectory).
 Both then evolve the teacher over the stage and regress the student onto
-the stage's constant velocity.
+the stage's constant velocity. `train_student` is one `distill_grads` step
+on such a batch, run by `flow.fit`, the package's one training loop.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
-                   field_features, interpolate, ode_solve, sample_mixture)
-from .netcore import (MlpSpec, TrainingError, adam_step, backward, forward,
-                      init_adam, init_params)
+from .flow import (LearnedField, MixtureSpec, TrainConfig, field_features,
+                   fit, interpolate, ode_solve, sample_mixture)
+from .netcore import MlpSpec, TrainingError, backward, forward
 from .sched import SAMPLERS, build_base_schedule
 
 
@@ -112,24 +112,16 @@ def distill_grads(params, z_t, t, v_target):
 def train_student(teacher, data: MixtureSpec, method: str, grid: StageGrid,
                   net: MlpSpec = None, cfg: TrainConfig = TrainConfig(),
                   history: list = None) -> LearnedField:
-    """Gradient descent on the piecewise loss with fresh pairs per iteration."""
+    """Gradient descent on the piecewise loss with fresh pairs per iteration,
+    run by `flow.fit`; history, if given, collects one loss per iteration."""
     if method not in ("perflow", "ota"):
         raise ValueError(f"unknown method {method!r}")
-    if net is None:
-        net = MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed)
-    params = init_params(net)
-    state = init_adam(params, lr=cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.iterations):
-        z_t, t, v_t = sample_training_batch(teacher, data, method, grid,
-                                            cfg.batch_size, rng)
-        loss, grads = distill_grads(params, z_t, t, v_t)
-        if not np.isfinite(loss):
-            raise TrainingError("distillation loss diverged")
-        if history is not None:
-            history.append(loss)
-        params, state = adam_step(params, grads, state)
-    return LearnedField(params)
+
+    def step(params, rng):
+        return distill_grads(params, *sample_training_batch(
+            teacher, data, method, grid, cfg.batch_size, rng))
+
+    return fit(step, net, cfg, history)
 
 
 def infer_few_step(student, grid: StageGrid, eps) -> np.ndarray:

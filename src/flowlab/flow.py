@@ -6,7 +6,8 @@ Gaussian mixture: v(z, sigma) = (z - E[x | z_sigma = z]) / sigma, with the
 posterior mean computed in closed form per component. Time convention is
 sigma(t) = t on [0, 1]. `solve_on_grid` is the package's one Euler loop;
 `ode_solve` is its equal-step wrapper, and the stage-level rollout in
-`distill` is built on it.
+`distill` is built on it. `fit` is the package's one training loop; every
+trainer is a step function that it runs.
 """
 
 from __future__ import annotations
@@ -184,6 +185,24 @@ class TrainConfig:
     seed: int = 0
 
 
+def fit(step, net: MlpSpec, cfg: TrainConfig, history: list = None) -> LearnedField:
+    """The one training loop: Adam on init_params(net) (default net:
+    DEFAULT_WIDTHS, silu, cfg.seed), one rng seeded with cfg.seed, and per
+    iteration step(params, rng) -> (loss row, grads). A non-finite row raises
+    TrainingError("loss diverged at iteration {it}"); else history gets it."""
+    params = init_params(net or MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed))
+    state = init_adam(params, lr=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    for it in range(cfg.iterations):
+        row, grads = step(params, rng)
+        if not np.all(np.isfinite(row)):
+            raise TrainingError(f"loss diverged at iteration {it}")
+        if history is not None:
+            history.append(row)
+        params, state = adam_step(params, grads, state)
+    return LearnedField(params)
+
+
 def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
                         cfg: TrainConfig = TrainConfig(),
                         history: list = None) -> LearnedField:
@@ -192,12 +211,7 @@ def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
     Minimizes E || v(z_sigma, sigma) - (eps - z0) ||^2 with
     sigma ~ U[SIGMA_FLOOR, 1]; the optional learned teacher.
     """
-    if net is None:
-        net = MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed)
-    params = init_params(net)
-    state = init_adam(params, lr=cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.iterations):
+    def step(params, rng):
         z0 = sample_mixture(spec, cfg.batch_size, rng)
         eps = rng.standard_normal((cfg.batch_size, 2))
         sig = rng.uniform(SIGMA_FLOOR, 1.0, cfg.batch_size)
@@ -205,10 +219,7 @@ def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
         tapes = []
         resid = forward(params, field_features(z, sig), tapes) - (eps - z0)
         loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-        if not np.isfinite(loss):
-            raise TrainingError("flow-matching loss diverged")
-        if history is not None:
-            history.append(loss)
         grads, _ = backward(params, tapes[0], 2.0 * resid / cfg.batch_size)
-        params, state = adam_step(params, grads, state)
-    return LearnedField(params)
+        return loss, grads
+
+    return fit(step, net, cfg, history)

@@ -239,7 +239,7 @@ def test_criterion_09_adversarial_component():
         hist = []
         full.append(eval_w2(train_adversarial(teacher, SPEC, grid, cfg=cfg,
                                               history=hist), seed))
-        d_loss = np.array([row[4] for row in hist[200:]])  # after warmup
+        d_loss = np.array([row[3] for row in hist[200:]])  # after warmup
         hinge_ok &= bool(np.all((d_loss >= 0.0) & (d_loss <= 4.0)))
     base, full = np.array(base), np.array(full)
     wins = int((full <= base).sum())

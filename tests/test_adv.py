@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import flowlab.adv
-from flowlab.adv import (AdvConfig, adv_loss_student, disc_loss, fm_loss,
+from flowlab.adv import (GAN_LOSSES, AdvConfig, _generator_grads,
+                         adv_loss_student, disc_loss, fm_loss,
                          init_discriminator, sample_timestep,
                          train_adversarial, trajectory_states)
 from flowlab.distill import (default_grid, rollout, sample_training_batch,
                              train_student)
 from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
                           field_features, ode_solve)
-from flowlab.netcore import forward_with_hidden
+from flowlab.netcore import MlpSpec, forward, forward_with_hidden, init_params
 
 
 class TestAdvConfig:
@@ -69,6 +70,26 @@ class TestLossArithmetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             disc_loss([1.0], [0.0], "vanilla")
+
+    @pytest.mark.parametrize("kind", sorted(GAN_LOSSES))
+    def test_score_grads_match_finite_differences(self, kind):
+        # scores on both sides of the hinge kinks (r = 1, f = -1), some
+        # close to one but none within the step of it
+        r = np.array([[-0.7], [0.4], [0.95], [1.05], [1.8], [2.5]])
+        f = np.array([[-2.2], [-1.3], [-1.05], [-0.95], [0.3], [1.1]])
+        score_grads = []
+        loss = disc_loss(r, f, kind, score_grads)
+        assert loss == disc_loss(r, f, kind)
+        h = 1e-6
+        for scores, grad in zip((r, f), score_grads):
+            assert grad.shape == scores.shape
+            for i in range(len(scores)):
+                scores[i] += h
+                up = disc_loss(r, f, kind)
+                scores[i] -= 2 * h
+                down = disc_loss(r, f, kind)
+                scores[i] += h
+                assert abs((up - down) / (2 * h) - grad[i, 0]) <= 1e-8
 
     def test_fm_loss(self):
         ft = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 3.0]])]
@@ -165,6 +186,57 @@ class TestTrajectoryStates:
                 assert np.array_equal(state, reference[j])
 
 
+class TestGeneratorGrads:
+    """The student gradient of lambda_adv * L_adv + lambda_fm * L_FM through
+    the discriminator's score and hidden cotangents and the student's own
+    rollout, against central differences; discriminator and real states
+    fixed."""
+
+    @pytest.mark.parametrize("lambda_adv, lambda_fm",
+                             [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)])
+    def test_matches_finite_differences(self, lambda_adv, lambda_fm):
+        adv_cfg = AdvConfig(lambda_adv=lambda_adv, lambda_fm=lambda_fm)
+        grid = default_grid(4)
+        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        disc = init_discriminator(widths=(5, 8, 6, 1), seed=1)
+        rng = np.random.default_rng(12)
+        eps = rng.standard_normal((6, 2))
+        to_k = 1
+        sigma = grid.t(to_k)
+        xr = field_features(rng.standard_normal((6, 2)), sigma)
+
+        def student_states(tapes=None):
+            field = lambda z, s: forward(params, field_features(z, s), tapes)
+            return field_features(rollout(field, grid, eps, 4, to_k, 1)[-1],
+                                  sigma)
+
+        def objective():
+            sf, tape_f = forward_with_hidden(disc, student_states())
+            _, tape_r = forward_with_hidden(disc, xr)
+            return (lambda_adv * adv_loss_student(sf)
+                    + lambda_fm * fm_loss(tape_r.hidden, tape_f.hidden))
+
+        tapes = []
+        xf = student_states(tapes)
+        assert len(tapes) == 3
+        l_adv, l_fm, grads = _generator_grads(params, grid, tapes, disc, xr,
+                                              xf, adv_cfg)
+        assert objective() == lambda_adv * l_adv + lambda_fm * l_fm
+        # gradients here are 5e-4 .. 6e-2; central differences agree to 2e-10
+        h = 1e-6
+        for name, layer, idx in [("weights", 0, (0, 0)), ("weights", 0, (2, 5)),
+                                 ("weights", 0, (4, 7)), ("weights", 1, (3, 1)),
+                                 ("biases", 0, 6), ("biases", 1, 0)]:
+            entry = getattr(params, name)[layer]
+            entry[idx] += h
+            up = objective()
+            entry[idx] -= 2 * h
+            down = objective()
+            entry[idx] += h
+            fd = (up - down) / (2 * h)
+            assert abs(fd - getattr(grads, name)[layer][idx]) <= 1e-6 * abs(fd) + 1e-9
+
+
 class CountingField:
     def __init__(self, field):
         self.field = field
@@ -235,7 +307,7 @@ class TestTrainAdversarial:
                           cfg=TrainConfig(iterations=30, batch_size=16, seed=0),
                           history=hist)
         assert len(hist) == 30
-        for it, l_dist, l_adv, l_fm, d_loss in hist:
+        for l_dist, l_adv, l_fm, d_loss in hist:
             assert np.isfinite([l_dist, l_adv, l_fm, d_loss]).all()
             assert d_loss >= 0.0  # hinge loss is non-negative
 
@@ -269,4 +341,4 @@ class TestTrainAdversarial:
                           adv_cfg=AdvConfig(gan_kind="lsgan"),
                           cfg=cfg, history=hist_b)
         # first-iteration distillation loss depends only on the pair stream
-        assert hist_a[0][1] == hist_b[0][1]
+        assert hist_a[0][0] == hist_b[0][0]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import flowlab.cli
 from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
                          _config_from_args, build_parser, load_config, main,
                          reproduce_tables, run_experiment)
-from flowlab.netcore import MlpSpec, init_params, save_params
+from flowlab.netcore import MlpSpec, TrainingError, init_params, save_params
 
 
 class TestExperimentConfig:
@@ -396,6 +397,33 @@ class TestMainCli:
         save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), paths["file"])
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert named.format(**paths) in one_config_error(capsys)
+
+    def test_infer_checks_out_before_inference(self, tmp_path, capsys,
+                                               monkeypatch):
+        ckpt = tmp_path / "student.json"
+        save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), ckpt)
+
+        def never(*args):
+            raise AssertionError("inference ran before --out was checked")
+
+        monkeypatch.setattr(flowlab.cli, "infer_few_step", never)
+        assert main(["infer", "--checkpoint", str(ckpt), "--n", "100000",
+                     "--out", str(tmp_path)]) == 1
+        assert str(tmp_path) in one_config_error(capsys)
+
+    def test_failed_inference_leaves_empty_out(self, tmp_path, capsys,
+                                               monkeypatch):
+        ckpt, out = tmp_path / "student.json", tmp_path / "pts.txt"
+        save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), ckpt)
+        out.write_text("old points\n")
+
+        def diverge(*args):
+            raise TrainingError("non-finite state during inference")
+
+        monkeypatch.setattr(flowlab.cli, "infer_few_step", diverge)
+        assert main(["infer", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("training error: ")
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("command", sorted(next(
         action for action in build_parser()._actions

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from flowlab.adv import train_adversarial
 from flowlab.distill import (StageGrid, default_grid, distill_grads,
                              infer_few_step, rollout, sample_training_batch,
                              train_student)
 from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
                           field_features, interpolate, ode_solve, point_mass,
-                          sample_mixture)
+                          sample_mixture, train_flow_matching)
 from flowlab.netcore import MlpSpec, TrainingError, forward, init_params
 
 
@@ -189,11 +190,59 @@ class TestDistillLoss:
         assert loss == 25.0
 
     def test_empty_batch(self):
-        # an empty batch has no mean loss; training stops instead of stepping
-        with pytest.warns(RuntimeWarning), pytest.raises(TrainingError):
-            train_student(AnalyticField(default_benchmark()),
-                          default_benchmark(), "ota", default_grid(4),
-                          cfg=TrainConfig(iterations=1, batch_size=0))
+        # an empty batch has no mean loss; the one training loop stops
+        # before the first step and records no row, for either trainer
+        cfg = TrainConfig(iterations=3, batch_size=0)
+        for train in (
+                lambda hist: train_student(
+                    AnalyticField(default_benchmark()), default_benchmark(),
+                    "ota", default_grid(4), cfg=cfg, history=hist),
+                lambda hist: train_flow_matching(default_benchmark(), cfg=cfg,
+                                                 history=hist)):
+            hist = []
+            with pytest.warns(RuntimeWarning), pytest.raises(
+                    TrainingError, match="^loss diverged at iteration 0$"):
+                train(hist)
+            assert hist == []
+
+    @pytest.mark.parametrize("method", ["ota", "ota+adv"])
+    def test_teacher_turning_nan(self, method):
+        # the iteration whose teacher calls first return NaN fails, and
+        # history keeps exactly the rows before it
+        hist = []
+        teacher = NanAfter(80, hist)
+        cfg = TrainConfig(iterations=50, batch_size=8)
+        with pytest.raises(TrainingError) as failure:
+            if method == "ota":
+                train_student(teacher, default_benchmark(), "ota",
+                              default_grid(4), cfg=cfg, history=hist)
+            else:
+                train_adversarial(teacher, default_benchmark(),
+                                  default_grid(4), cfg=cfg, history=hist)
+        assert 0 < teacher.rows == len(hist) < cfg.iterations
+        assert np.all(np.isfinite(hist))
+        # ota+adv stops earlier in that iteration, at the discriminator's
+        # Adam step, so only the plain trainer reaches the loop's message
+        if method == "ota":
+            assert str(failure.value) == f"loss diverged at iteration {len(hist)}"
+
+
+class NanAfter:
+    """The analytic teacher for `calls` evaluations, NaN after them; `rows`
+    is len(history) at the first NaN evaluation."""
+
+    def __init__(self, calls, history):
+        self.field = AnalyticField(default_benchmark())
+        self.calls, self.history, self.rows = calls, history, None
+
+    def __call__(self, z, sigma):
+        v = self.field(z, sigma)
+        self.calls -= 1
+        if self.calls >= 0:
+            return v
+        if self.rows is None:
+            self.rows = len(self.history)
+        return np.full_like(v, np.nan)
 
 
 class TestSampleTrainingBatch:
