@@ -11,8 +11,13 @@ regenerated bit-identically.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -226,25 +231,109 @@ def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
     return samples, metrics
 
 
+# the function a map_seeds worker applies; set only in forked workers
+_worker_fn = None
+
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker(item):
+    return _worker_fn(item)
+
+
+def _blas_threads():
+    """Threads the OpenBLAS loaded in this process runs, asked of the
+    library itself (the most over several copies), or None when no OpenBLAS
+    is loaded or it cannot be asked (another BLAS, no /proc)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    counts = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                counts.append(get())
+                break
+    return max(counts, default=None)
+
+
+def _traced() -> bool:
+    """Whether an in-process tracer watches this process: a profile or
+    trace hook, or wrappers over this module's functions (functools.wraps
+    marks them with __wrapped__). It records only calls made in this
+    process, so it would miss every call made in a worker."""
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or hasattr(map_seeds, "__wrapped__"))
+
+
+def map_seeds(fn, items) -> list:
+    """[fn(x) for x in items], in input order, over the CPUs this process
+    may use: in-process for one item, one worker or a traced process, else
+    in forked workers.
+
+    fn reaches the workers through fork, not pickle, so a closure works;
+    only items and results cross the pipe. Workers inherit the parent's
+    BLAS thread count, so each result is bit-identical to the serial one.
+    Each worker's BLAS threads count against the usable CPUs: on 2 CPUs,
+    two workers of two OpenBLAS threads each trained each seed about 3x
+    slower than one process did. A BLAS whose thread count cannot be asked
+    counts one thread per CPU, so the run stays serial. Every worker is
+    joined before this returns.
+    """
+    items = list(items)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    serial = min(len(items), cpus) <= 1 or _traced()
+    workers = 1 if serial else min(len(items),
+                                   cpus // (_blas_threads() or cpus))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_call_worker, items))
+
+
+def _non_finite(metrics: dict):
+    """Name of the first non-finite metric (an interstage entry as
+    interstage[i].key), or None."""
+    named = [(k, v) for k, v in metrics.items() if k != "interstage"]
+    named += [(f"interstage[{i}].{k}", v)
+              for i, row in enumerate(metrics["interstage"])
+              for k, v in row.items()]
+    return next((k for k, v in named if not math.isfinite(v)), None)
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Train per config for every seed, evaluate, persist reports.
 
-    Writes summary.json, per-seed loss CSVs, checkpoints, and sample sets
-    into the output directory; reruns with the same config and seeds are
-    bit-identical.
+    Seeds run in parallel through map_seeds. Writes summary.json, per-seed
+    loss CSVs, checkpoints, and sample sets into the output directory;
+    reruns with the same config and seeds are bit-identical. A seed whose
+    training diverges or whose metrics are not all finite is `failed`.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"config": config.to_text(), "seeds": {}}
-    status = "ok"
-    for seed in config.seeds:
+
+    def run_seed(seed):
         history = []
         try:
             teacher, grid, student = _train_one(config, seed, history)
         except TrainingError as exc:
-            summary["seeds"][str(seed)] = {"status": "failed", "error": str(exc)}
-            status = "training_failed"
-            continue
+            return {"status": "failed", "error": str(exc)}
         with open(out / f"losses_seed{seed}.csv", "w") as f:
             f.write("iter,l_dist,l_adv,l_fm,d_loss\n")
             for it, row in enumerate(history):
@@ -253,12 +342,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
         samples, metrics = _evaluate(config, seed, teacher, grid, student)
         with open(out / f"samples_seed{seed}.txt", "w") as f:
             _write_points(f, samples)
+        bad = _non_finite(metrics)
+        if bad is not None:
+            return {"status": "failed", "error": f"non-finite metric {bad}"}
         metrics["status"] = "ok"
-        summary["seeds"][str(seed)] = metrics
-    summary["status"] = status
+        return metrics
+
+    # a repeated seed runs once: two workers must not write one file
+    seeds = list(dict.fromkeys(config.seeds))
+    rows = map_seeds(run_seed, seeds)
+    summary = {"config": config.to_text(),
+               "seeds": {str(seed): row for seed, row in zip(seeds, rows)}}
+    ok = all(row["status"] == "ok" for row in rows)
+    summary["status"] = "ok" if ok else "training_failed"
     with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-    if status != "ok":
+        json.dump(summary, f, indent=2, allow_nan=False)
+    if not ok:
         raise TrainingError("one or more seeds failed; partial report written")
     return summary
 
@@ -440,7 +539,8 @@ def main(argv=None) -> int:
         elif args.command == "train":
             summary = run_experiment(config)
             print(json.dumps({s: {k: v for k, v in m.items() if k != "interstage"}
-                              for s, m in summary["seeds"].items()}, indent=2))
+                              for s, m in summary["seeds"].items()}, indent=2,
+                             allow_nan=False))
         elif args.command == "infer":
             student = _learned_field(args.checkpoint)
             if args.n < 1:

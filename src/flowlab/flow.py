@@ -189,17 +189,22 @@ def fit(step, net: MlpSpec, cfg: TrainConfig, history: list = None) -> LearnedFi
     """The one training loop: Adam on init_params(net) (default net:
     DEFAULT_WIDTHS, silu, cfg.seed), one rng seeded with cfg.seed, and per
     iteration step(params, rng) -> (loss row, grads). A non-finite row raises
-    TrainingError("loss diverged at iteration {it}"); else history gets it."""
+    TrainingError("loss diverged at iteration {it}"); else history gets it.
+    A TrainingError from step or Adam is re-raised with " at iteration {it}"
+    appended."""
     params = init_params(net or MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed))
     state = init_adam(params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     for it in range(cfg.iterations):
-        row, grads = step(params, rng)
-        if not np.all(np.isfinite(row)):
-            raise TrainingError(f"loss diverged at iteration {it}")
-        if history is not None:
-            history.append(row)
-        params, state = adam_step(params, grads, state)
+        try:
+            row, grads = step(params, rng)
+            if not np.all(np.isfinite(row)):
+                raise TrainingError("loss diverged")
+            if history is not None:
+                history.append(row)
+            params, state = adam_step(params, grads, state)
+        except TrainingError as exc:
+            raise TrainingError(f"{exc} at iteration {it}") from None
     return LearnedField(params)
 
 

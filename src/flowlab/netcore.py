@@ -72,6 +72,10 @@ class MlpParams:
             self.biases.append(flat[end:end + fan_out])
             offset = end + fan_out
 
+    def __reduce__(self):
+        # rebuild from the flat vector, so a copy's views share its memory
+        return MlpParams, (self.spec, self.flat)
+
     @classmethod
     def from_layers(cls, spec: MlpSpec, weights, biases) -> MlpParams:
         """Copy per-layer arrays in; ValueError unless their count and

@@ -10,7 +10,8 @@ import time
 import numpy as np
 
 from flowlab.adv import train_adversarial
-from flowlab.cli import ExperimentConfig, reproduce_tables, run_experiment
+from flowlab.cli import (ExperimentConfig, map_seeds, reproduce_tables,
+                         run_experiment)
 from flowlab.diag import (energy_permutation_test, expected_velocity_residual,
                           interstage_distance, teacher_trajectory_divergence,
                           w2_exact_small)
@@ -194,15 +195,20 @@ def test_criterion_08_ota_beats_perflow():
         data = sample_mixture(SPEC, 2048, rng)
         return averaged_w2(data, out)
 
+    def run(method_seed):
+        method, seed = method_seed
+        cfg = TrainConfig(iterations=3000, batch_size=128, seed=seed)
+        student = train_student(teacher, SPEC, method, grid, cfg=cfg)
+        return eval_w2(student, seed), student if seed == 0 else None
+
     w2 = {"perflow": [], "ota": []}
     seed0_students = {}
-    for method in ("perflow", "ota"):
-        for seed in range(5):
-            cfg = TrainConfig(iterations=3000, batch_size=128, seed=seed)
-            student = train_student(teacher, SPEC, method, grid, cfg=cfg)
-            if seed == 0:
-                seed0_students[method] = student
-            w2[method].append(eval_w2(student, seed))
+    pairs = [(method, seed) for method in ("perflow", "ota")
+             for seed in range(5)]
+    for (method, seed), (w2_m, student) in zip(pairs, map_seeds(run, pairs)):
+        if seed == 0:
+            seed0_students[method] = student
+        w2[method].append(w2_m)
     wins = sum(o <= p for o, p in zip(w2["ota"], w2["perflow"]))
 
     gap = {}
@@ -230,17 +236,25 @@ def test_criterion_09_adversarial_component():
         data = sample_mixture(SPEC, 2048, rng)
         return averaged_w2(data, infer_few_step(student, grid, eps))
 
+    def run(method_seed):
+        method, seed = method_seed
+        cfg = TrainConfig(iterations=2000, batch_size=128, seed=seed)
+        if method == "ota":
+            return eval_w2(train_student(teacher, SPEC, "ota", grid,
+                                         cfg=cfg), seed), True
+        hist = []
+        w2 = eval_w2(train_adversarial(teacher, SPEC, grid, cfg=cfg,
+                                       history=hist), seed)
+        d_loss = np.array([row[3] for row in hist[200:]])  # after warmup
+        return w2, bool(np.all((d_loss >= 0.0) & (d_loss <= 4.0)))
+
     base, full = [], []
     hinge_ok = True
-    for seed in range(5):
-        cfg = TrainConfig(iterations=2000, batch_size=128, seed=seed)
-        base.append(eval_w2(train_student(teacher, SPEC, "ota", grid,
-                                          cfg=cfg), seed))
-        hist = []
-        full.append(eval_w2(train_adversarial(teacher, SPEC, grid, cfg=cfg,
-                                              history=hist), seed))
-        d_loss = np.array([row[3] for row in hist[200:]])  # after warmup
-        hinge_ok &= bool(np.all((d_loss >= 0.0) & (d_loss <= 4.0)))
+    pairs = [(method, seed) for seed in range(5)
+             for method in ("ota", "ota+adv")]
+    for (method, _), (w2, bounded) in zip(pairs, map_seeds(run, pairs)):
+        (base if method == "ota" else full).append(w2)
+        hinge_ok &= bounded
     base, full = np.array(base), np.array(full)
     wins = int((full <= base).sum())
     worst_degradation = float(((full - base) / base).max())

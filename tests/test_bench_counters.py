@@ -9,13 +9,16 @@ here. The tracer is loaded from its file, read-only.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
 import flowlab
+import flowlab.cli
 from flowlab import adv, distill
 from flowlab.adv import AdvConfig
+from flowlab.cli import ExperimentConfig
 from flowlab.distill import default_grid
 from flowlab.flow import AnalyticField, TrainConfig, default_benchmark
 
@@ -56,3 +59,17 @@ def test_student_counters():
     # a perflow pair solves the teacher over its one stage
     assert counters["distill.teacher_nfe"] == 3 * SUBSTEPS
     assert counters["adv.iters"] == counters["adv.disc_passes"] == 0
+
+
+def test_run_experiment_counts_every_seed(tmp_path, monkeypatch):
+    # where the seeds would go to forked workers, a traced run stays in the
+    # tracer's process, so every seed's training is counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: 1)
+    config = ExperimentConfig(method="perflow", iterations=3, batch=8,
+                              eval_samples=64, seeds=(0, 1, 2),
+                              output_dir=str(tmp_path))
+    with tracing.Tracer(flowlab) as tracer:
+        flowlab.cli.run_experiment(config)
+    assert tracer.counters["distill.iters"] == 3 * 3
+    assert tracer.summary()["distill.train_student"][0] == 3

@@ -1,5 +1,13 @@
 import argparse
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import flowlab.cli
 from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
                          _config_from_args, build_parser, load_config, main,
-                         reproduce_tables, run_experiment)
+                         map_seeds, reproduce_tables, run_experiment)
 from flowlab.netcore import MlpSpec, TrainingError, init_params, save_params
 
 
@@ -297,6 +305,178 @@ class TestRunExperiment:
         d_losses = [float(line.split(",")[4]) for line in lines[1:]]
         assert any(d > 0 for d in d_losses)
 
+    def test_non_finite_metric_fails_the_seed(self, tmp_path, monkeypatch):
+        real = flowlab.cli._evaluate
+
+        def nan_interstage(*args):
+            samples, metrics = real(*args)
+            metrics["interstage"][1]["p_value"] = float("nan")
+            return samples, metrics
+
+        monkeypatch.setattr(flowlab.cli, "_evaluate", nan_interstage)
+        with pytest.raises(TrainingError, match="one or more seeds failed"):
+            run_experiment(tiny_config(tmp_path))
+        summary = strict_json((tmp_path / "out" / "summary.json").read_text())
+        assert summary["seeds"]["0"] == {
+            "status": "failed", "error": "non-finite metric interstage[1].p_value"}
+        assert summary["status"] == "training_failed"
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def two_cpus(monkeypatch):
+    """Two usable CPUs and one BLAS thread, as map_seeds counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: 1)
+
+
+def run_files(out):
+    """{file name: bytes} of a run, summary.json with its path masked."""
+    return {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+            for p in sorted(out.iterdir())}
+
+
+class TestSeedPool:
+    """Seeds run in forked workers; what they write and report must be what
+    a serial run writes and reports."""
+
+    @pytest.mark.parametrize("method", ["perflow", "ota+adv"])
+    def test_pool_and_serial_artifacts_identical(self, tmp_path, monkeypatch,
+                                                 method):
+        runs = {}
+        for name, cpus in (("pool", two_cpus), ("serial", one_cpu)):
+            cpus(monkeypatch)
+            out = tmp_path / name
+            run_experiment(tiny_config(tmp_path, method=method, iterations=6,
+                                       seeds=(0, 1, 2), output_dir=str(out)))
+            assert multiprocessing.active_children() == []
+            runs[name] = run_files(out)
+        assert len(runs["pool"]) == 10  # 3 seeds x 3 files + summary.json
+        assert runs["pool"] == runs["serial"]
+
+    def test_failed_seed_in_worker(self, tmp_path, monkeypatch):
+        real = flowlab.cli._train_one
+
+        def fail_seed_1(config, seed, history):
+            if seed == 1:
+                raise TrainingError("loss diverged at iteration 3")
+            return real(config, seed, history)
+
+        monkeypatch.setattr(flowlab.cli, "_train_one", fail_seed_1)
+        runs, errors = {}, {}
+        for name, cpus in (("pool", two_cpus), ("serial", one_cpu)):
+            cpus(monkeypatch)
+            out = tmp_path / name
+            with pytest.raises(TrainingError) as failure:
+                run_experiment(tiny_config(tmp_path, iterations=4,
+                                           seeds=(0, 1, 2), output_dir=str(out)))
+            assert multiprocessing.active_children() == []
+            runs[name], errors[name] = run_files(out), str(failure.value)
+        assert runs["pool"] == runs["serial"]
+        assert errors["pool"] == errors["serial"]
+        summary = json.loads(runs["pool"]["summary.json"])
+        assert summary["seeds"]["1"] == {
+            "status": "failed", "error": "loss diverged at iteration 3"}
+        assert [summary["seeds"][s]["status"] for s in "02"] == ["ok", "ok"]
+        assert "losses_seed1.csv" not in runs["pool"]
+
+    def test_one_item_never_forks(self, monkeypatch):
+        two_cpus(monkeypatch)
+        assert map_seeds(lambda _: os.getpid(), [7]) == [os.getpid()]
+
+    def test_many_items_run_in_workers(self, monkeypatch):
+        two_cpus(monkeypatch)
+        pids = map_seeds(lambda _: os.getpid(), range(4))
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("blas, cpus, workers", [
+        (2, 2, 1), (8, 8, 1), (1, 2, 2), (2, 8, 4), (3, 8, 2), (4, 2, 1),
+        (None, 2, 1), (None, 8, 1)])
+    def test_workers_share_cpus_with_blas_threads(self, monkeypatch, blas,
+                                                  cpus, workers):
+        monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        pools = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(flowlab.cli, "ProcessPoolExecutor", Recorded)
+        assert map_seeds(lambda x: -x, range(8)) == [-x for x in range(8)]
+        assert pools == ([] if workers == 1 else [workers])
+
+    @pytest.mark.parametrize("env, threads", [
+        ({"MKL_NUM_THREADS": "1"}, "cpus"),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1)])
+    def test_blas_threads_asked_of_the_library(self, env, threads):
+        # OpenBLAS reads its variables once, when numpy loads it, so each
+        # case runs in a fresh interpreter; MKL_NUM_THREADS is not one of
+        # them, and OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS
+        script = ("import os, flowlab.cli as c; print(c._blas_threads(), "
+                  "len(os.sched_getaffinity(0)), "
+                  "set(c.map_seeds(lambda _: os.getpid(), range(2))) "
+                  "== {os.getpid()})")
+        clean = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+            "MKL_NUM_THREADS")}
+        src = str(Path(flowlab.__file__).parents[1])
+        clean["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**clean, **env}, capture_output=True,
+                              text=True, check=True, timeout=120)
+        blas, cpus, in_process = proc.stdout.split()
+        if threads == "cpus":
+            # OpenBLAS's default: a thread per CPU, so the pool never starts
+            assert int(blas) >= int(cpus)
+            assert in_process == "True"
+        else:
+            assert int(blas) == threads
+            assert in_process == str(int(cpus) == 1)
+
+    def test_traced_process_stays_in_process(self, monkeypatch):
+        two_cpus(monkeypatch)
+        real = flowlab.cli.map_seeds
+
+        @functools.wraps(real)
+        def wrapped(fn, items):
+            return real(fn, items)
+
+        monkeypatch.setattr(flowlab.cli, "map_seeds", wrapped)
+        assert wrapped(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+        monkeypatch.undo()
+        two_cpus(monkeypatch)
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            pids = map_seeds(lambda _: os.getpid(), range(3))
+        finally:
+            sys.setprofile(previous)
+        assert pids == [os.getpid()] * 3
+
+    def test_keeps_input_order(self, monkeypatch):
+        two_cpus(monkeypatch)
+
+        def late_first(x):  # earlier items finish last
+            time.sleep(0.02 * (6 - x))
+            return x, x * x
+
+        assert map_seeds(late_first, range(7)) == [(x, x * x) for x in range(7)]
+
 
 class TestMainCli:
     def test_schedule_print(self, capsys):
@@ -482,6 +662,22 @@ class TestMainCli:
         assert rc == 0
         data = np.loadtxt(points)
         assert data.shape == (32, 2)
+
+    def test_train_non_finite_metric_exit_two(self, tmp_path, capsys):
+        # lr 1e6 blows the student up without a non-finite loss: w2 stays
+        # finite (~1e85) and the energy distance is NaN
+        cfg, out = tmp_path / "small.cfg", tmp_path / "run"
+        cfg.write_text("eval.samples = 64\n")
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--config", str(cfg), "--lr", "1e6",
+                       "--iters", "200", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("training error: ")
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["seeds"]["0"] == {
+            "status": "failed", "error": "non-finite metric energy_distance"}
 
     def test_diagnose_reports_divergence(self, tmp_path, capsys):
         rc = main(["diagnose", "--iters", "1"])

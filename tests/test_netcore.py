@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,6 +97,20 @@ class TestFlatParams:
         order = [a for pair in zip(p.weights, p.biases) for a in pair]
         assert np.array_equal(np.concatenate([a.ravel() for a in order]),
                               p.flat)
+
+    @pytest.mark.parametrize("copy_", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copy_keeps_layer_views(self, copy_):
+        # results that come back from a worker process are unpickled
+        p = init_params(MlpSpec((5, 8, 2)))
+        q = copy_(p)
+        assert q.spec == p.spec and np.array_equal(q.flat, p.flat)
+        assert not np.shares_memory(q.flat, p.flat)
+        for a in q.weights + q.biases:
+            assert np.shares_memory(a, q.flat)
+        q.weights[0][0, 0] += 1.0
+        assert q.flat[0] == p.flat[0] + 1.0
 
     def test_from_layers_copies_in(self):
         spec = MlpSpec((2, 3), "tanh", 0)
