@@ -61,16 +61,14 @@ class AdvConfig:
             raise ValueError("timestep_probs length must equal the stage count")
 
 
-def init_discriminator(widths: tuple = None, activation: str = "silu",
+def init_discriminator(widths: tuple = DEFAULT_WIDTHS[:-1] + (1,),
                        seed: int = 0) -> MlpParams:
     """MLP whose hidden activations are the per-layer features and whose
     final affine layer is the scalar score head. Conditioned on the noise
     level via the same time features as the velocity fields."""
-    if widths is None:
-        widths = DEFAULT_WIDTHS[:-1] + (1,)
     if widths[-1] != 1:
         raise ValueError("discriminator head must be scalar")
-    return init_params(MlpSpec(widths, activation, seed))
+    return init_params(MlpSpec(widths, "silu", seed))
 
 
 def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
@@ -159,9 +157,9 @@ def _generator_grads(params, grid, tapes, disc, xr, xf, adv_cfg: AdvConfig):
 
 
 def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
-                      net: MlpSpec = None, adv_cfg: AdvConfig = AdvConfig(),
+                      adv_cfg: AdvConfig = AdvConfig(),
                       cfg: TrainConfig = TrainConfig(),
-                      disc_seed: int = None, history: list = None) -> LearnedField:
+                      history: list = None) -> LearnedField:
     """Alternating discriminator/student updates (1:1), run by `flow.fit`.
 
     Distillation pairs are always OTA-style and drawn from fit's rng, so
@@ -173,8 +171,7 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
     adv_cfg.check_stages(grid.n_stages)
     rng_adv = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xADD]))
     adversarial = adv_cfg.lambda_adv > 0 or adv_cfg.lambda_fm > 0
-    disc = init_discriminator(
-        seed=cfg.seed + 1 if disc_seed is None else disc_seed)
+    disc = init_discriminator(seed=cfg.seed + 1)
     disc_state = init_adam(disc, lr=cfg.learning_rate)
 
     def step(params, rng_pairs):
@@ -190,8 +187,8 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
         sigma = grid.t(to_k)
         real = trajectory_states(teacher, grid, eps,
                                  grid.teacher_substeps_per_stage, to_k)[-1]
-        # the student unclipped, as distill_grads trains it; one tape per
-        # stage for the generator's pullback
+        # the student as LearnedField evaluates it, one tape per stage for
+        # the generator's pullback
         tapes = []
         fake = rollout(
             lambda z, s: forward(params, field_features(z, s), tapes),
@@ -215,4 +212,4 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
         grads.flat += gen_grads.flat
         return (l_dist, l_adv, l_fm, d_loss), grads
 
-    return fit(step, net, cfg, history)
+    return fit(step, cfg, history)

@@ -30,7 +30,7 @@ from .diag import (W2_MAX_POINTS, energy_permutation_test,
                    teacher_trajectory_divergence, w2_exact_small)
 from .distill import StageGrid, default_grid, infer_few_step, train_student
 from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
-                   sample_mixture, solve_on_grid)
+                   default_benchmark, sample_mixture, solve_on_grid)
 from .netcore import TrainingError, load_params, save_params
 from .sched import SAMPLERS, build_base_schedule, format_sigmas
 
@@ -52,20 +52,20 @@ def _config_errors(prefix=""):
 class ExperimentConfig:
     method: str = "ota"                  # perflow | ota | ota+adv
     teacher: str = "analytic"            # analytic | learned:PATH
-    mixture_weights: tuple = (0.5, 0.5)
-    mixture_means: tuple = ((-2.0, 0.0), (2.0, 0.0))
-    mixture_stds: tuple = (0.3, 0.3)
+    mixture_weights: tuple = tuple(default_benchmark().weights.tolist())
+    mixture_means: tuple = tuple(map(tuple, default_benchmark().means.tolist()))
+    mixture_stds: tuple = tuple(default_benchmark().stds.tolist())
     stages: int = 4
     shift: float = 1.0
-    substeps: int = 8
+    substeps: int = StageGrid.teacher_substeps_per_stage
     scheduler: str = "improved"          # original | improved
-    iterations: int = 2000
-    batch: int = 128
-    lr: float = 1e-3
-    lambda_adv: float = 0.1
-    lambda_fm: float = 1.0
-    gan: str = "hinge"
-    t_probs: tuple = (0.4, 0.2, 0.2, 0.2)
+    iterations: int = TrainConfig.iterations
+    batch: int = TrainConfig.batch_size
+    lr: float = TrainConfig.learning_rate
+    lambda_adv: float = AdvConfig.lambda_adv
+    lambda_fm: float = AdvConfig.lambda_fm
+    gan: str = AdvConfig.gan_kind
+    t_probs: tuple = AdvConfig.timestep_probs
     seeds: tuple = (0,)
     eval_samples: int = 4096
     output_dir: str = "runs/out"

@@ -159,22 +159,17 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
 
 
 def interstage_distance(teacher, student, grid: StageGrid, n: int,
-                        seed: int = 0, data: MixtureSpec = None,
+                        data: MixtureSpec, seed: int = 0,
                         method: str = "perflow", n_permutations: int = 1000):
     """Distribution gap at each interior boundary between training-time
     stage inputs (set A) and the student's inference-time stage inputs
     (set B).
 
-    A is built per `method`: perflow-style interpolated points, or
-    ota-style teacher-trajectory states. Returns a list of dicts with
+    A is built per `method`: perflow-style interpolated points of `data`,
+    or ota-style teacher-trajectory states. Returns a list of dicts with
     energy distance, permutation p-value, and exact W2 on 256-point
     subsamples.
     """
-    if data is None:
-        if hasattr(teacher, "spec"):
-            data = teacher.spec
-        else:
-            raise ValueError("data spec required for a non-analytic teacher")
     rng = np.random.default_rng(seed)
     eps_train = rng.standard_normal((n, 2))
     z0 = sample_mixture(data, n, rng)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .flow import (LearnedField, MixtureSpec, TrainConfig, field_features,
                    fit, interpolate, ode_solve, sample_mixture)
-from .netcore import MlpSpec, TrainingError, backward, forward
+from .netcore import TrainingError, backward, forward
 from .sched import SAMPLERS, build_base_schedule
 
 
@@ -52,7 +52,7 @@ class StageGrid:
 
 
 def default_grid(n_stages: int, shift: float = 1.0,
-                 teacher_substeps_per_stage: int = 8,
+                 teacher_substeps_per_stage=StageGrid.teacher_substeps_per_stage,
                  sampler: str = "improved") -> StageGrid:
     """Boundaries from a named sigma sampler (`sched.SAMPLERS`), so training
     and inference share the same fixed schedule."""
@@ -110,7 +110,7 @@ def distill_grads(params, z_t, t, v_target):
 
 
 def train_student(teacher, data: MixtureSpec, method: str, grid: StageGrid,
-                  net: MlpSpec = None, cfg: TrainConfig = TrainConfig(),
+                  cfg: TrainConfig = TrainConfig(),
                   history: list = None) -> LearnedField:
     """Gradient descent on the piecewise loss with fresh pairs per iteration,
     run by `flow.fit`; history, if given, collects one loss per iteration."""
@@ -121,7 +121,7 @@ def train_student(teacher, data: MixtureSpec, method: str, grid: StageGrid,
         return distill_grads(params, *sample_training_batch(
             teacher, data, method, grid, cfg.batch_size, rng))
 
-    return fit(step, net, cfg, history)
+    return fit(step, cfg, history)
 
 
 def infer_few_step(student, grid: StageGrid, eps) -> np.ndarray:

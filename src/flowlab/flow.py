@@ -19,10 +19,10 @@ import numpy as np
 from .netcore import (MlpParams, MlpSpec, TrainingError, backward, forward,
                       init_adam, init_params, adam_step)
 
-# v has a 1/sigma singularity at 0; fields are frozen below this level
+# v has a 1/sigma singularity at 0; AnalyticField freezes below this level
 SIGMA_FLOOR = 1e-3
 
-# default net for velocity fields and the discriminator backbone
+# the student net's widths and the discriminator backbone
 DEFAULT_WIDTHS = (5, 64, 64, 64, 2)
 
 
@@ -141,15 +141,14 @@ class AnalyticField:
 
 
 class LearnedField:
-    """MLP-backed velocity field; frozen below SIGMA_FLOOR."""
+    """MLP-backed velocity field, evaluated at the sigma it is given, as
+    training evaluates the student."""
 
     def __init__(self, params: MlpParams):
         self.params = params
 
     def __call__(self, z, sigma):
-        z = np.asarray(z, dtype=np.float64)
-        sig = np.clip(np.asarray(sigma, dtype=np.float64), SIGMA_FLOOR, 1.0)
-        return forward(self.params, field_features(z, sig))
+        return forward(self.params, field_features(z, sigma))
 
 
 def solve_on_grid(field, z, sigmas):
@@ -185,14 +184,14 @@ class TrainConfig:
     seed: int = 0
 
 
-def fit(step, net: MlpSpec, cfg: TrainConfig, history: list = None) -> LearnedField:
-    """The one training loop: Adam on init_params(net) (default net:
-    DEFAULT_WIDTHS, silu, cfg.seed), one rng seeded with cfg.seed, and per
+def fit(step, cfg: TrainConfig, history: list = None) -> LearnedField:
+    """The one training loop: Adam on the one student net (DEFAULT_WIDTHS,
+    silu, seeded with cfg.seed), one rng seeded with cfg.seed, and per
     iteration step(params, rng) -> (loss row, grads). A non-finite row raises
     TrainingError("loss diverged at iteration {it}"); else history gets it.
     A TrainingError from step or Adam is re-raised with " at iteration {it}"
     appended."""
-    params = init_params(net or MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed))
+    params = init_params(MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed))
     state = init_adam(params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     for it in range(cfg.iterations):
@@ -208,8 +207,7 @@ def fit(step, net: MlpSpec, cfg: TrainConfig, history: list = None) -> LearnedFi
     return LearnedField(params)
 
 
-def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
-                        cfg: TrainConfig = TrainConfig(),
+def train_flow_matching(spec: MixtureSpec, cfg: TrainConfig = TrainConfig(),
                         history: list = None) -> LearnedField:
     """Conditional flow-matching regression onto eps - z0.
 
@@ -227,4 +225,4 @@ def train_flow_matching(spec: MixtureSpec, net: MlpSpec = None,
         grads, _ = backward(params, tapes[0], 2.0 * resid / cfg.batch_size)
         return loss, grads
 
-    return fit(step, net, cfg, history)
+    return fit(step, cfg, history)

@@ -178,23 +178,22 @@ def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
     return grads, (g[0] if tape.single else g)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Hyperparameters, step count and the flat moment vectors m, v."""
+    """Learning rate, step count and the flat moment vectors m, v."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int
     m: np.ndarray
     v: np.ndarray
 
 
-def init_adam(params: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(lr, beta1, beta2, eps, 0,
-                     np.zeros_like(params.flat), np.zeros_like(params.flat))
+def init_adam(params: MlpParams, lr: float = 1e-3) -> AdamState:
+    return AdamState(lr, 0, np.zeros_like(params.flat),
+                     np.zeros_like(params.flat))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
@@ -203,11 +202,11 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     if not np.all(np.isfinite(g)):
         raise TrainingError("non-finite gradient entries")
     t = state.step + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    flat = params.flat - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    flat = params.flat - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return MlpParams(params.spec, flat), replace(state, step=t, m=m, v=v)
 
 

@@ -16,18 +16,18 @@ import numpy as np
 
 
 def shift_sigma(sigma, shift: float):
-    """Apply the time-shift map s*sigma / (1 + (s-1)*sigma).
+    """Apply the time-shift map s*sigma / (s*sigma + (1 - sigma)).
 
-    Monotone increasing in sigma, fixes 0 and 1. Accepts scalars or arrays.
+    Monotone increasing in sigma, fixes 0 and 1 exactly, and is the identity
+    at s = 1. Accepts scalars or arrays.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if shift <= 0:
         raise ValueError(f"shift must be positive, got {shift}")
     if np.any(sigma < 0) or np.any(sigma > 1):
         raise ValueError("sigma must lie in [0, 1]")
-    # at sigma = 1 the rounded 1 + (shift - 1) need not equal shift
-    den = np.where(sigma == 1.0, shift, 1.0 + (shift - 1.0) * sigma)
-    out = shift * sigma / den
+    num = shift * sigma
+    out = num / (num + (1.0 - sigma))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import flowlab.cli
+from flowlab.adv import AdvConfig
 from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
                          _config_from_args, build_parser, load_config, main,
                          map_seeds, reproduce_tables, run_experiment)
+from flowlab.distill import default_grid
+from flowlab.flow import TrainConfig, default_benchmark
 from flowlab.netcore import MlpSpec, TrainingError, init_params, save_params
 
 
@@ -25,6 +28,16 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.method == "ota"
         assert cfg.grid().n_stages == 4
+
+    def test_defaults_are_the_librarys(self):
+        cfg, train = ExperimentConfig(), TrainConfig()
+        assert cfg.adv_config() == AdvConfig()
+        assert (cfg.iterations, cfg.batch, cfg.lr) == (
+            train.iterations, train.batch_size, train.learning_rate)
+        assert cfg.substeps == default_grid(4).teacher_substeps_per_stage
+        mix, ref = cfg.mixture(), default_benchmark()
+        for name in ("weights", "means", "stds"):
+            assert np.array_equal(getattr(mix, name), getattr(ref, name))
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -694,6 +707,21 @@ class TestMainCli:
         rows = report["steps"]["4"]
         assert set(rows) == {"original", "improved"}
         assert len(rows["original"]) == 1
+
+    def test_compare_methods_reports_each_summary(self, tmp_path, capsys):
+        cfg, out = tmp_path / "small.cfg", tmp_path / "cmp"
+        cfg.write_text("eval.samples = 64\n")
+        rc = main(["compare-methods", "--config", str(cfg), "--iters", "3",
+                   "--seed", "0,1", "--out", str(out)])
+        assert rc == 0
+        report = strict_json(capsys.readouterr().out)
+        for method in ("perflow", "ota"):
+            summary = strict_json((out / method / "summary.json").read_text())
+            assert report["methods"][method] == {
+                seed: {"w2": row["w2"],
+                       "energy_distance": row["energy_distance"]}
+                for seed, row in summary["seeds"].items()}
+            assert set(summary["seeds"]) == {"0", "1"}
 
     def test_parser_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):

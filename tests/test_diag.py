@@ -341,7 +341,8 @@ class TestInterstageDistance:
         student = train_student(teacher, default_benchmark(), "perflow", grid,
                                 cfg=TrainConfig(iterations=100, batch_size=32,
                                                 seed=0))
-        rows = interstage_distance(teacher, student, grid, 128, seed=0,
+        rows = interstage_distance(teacher, student, grid, 128,
+                                   default_benchmark(), seed=0,
                                    n_permutations=100)
         assert len(rows) == 3  # interior boundaries only
         for row in rows:
@@ -356,20 +357,16 @@ class TestInterstageDistance:
         # coincide and the test must not reject
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4, teacher_substeps_per_stage=1)
-        rows = interstage_distance(teacher, teacher, grid, 256, seed=2,
-                                   method="ota", n_permutations=200)
+        rows = interstage_distance(teacher, teacher, grid, 256,
+                                   default_benchmark(), seed=2, method="ota",
+                                   n_permutations=200)
         assert all(row["p_value"] > 0.05 for row in rows)
 
     def test_unknown_method(self):
         teacher = AnalyticField(default_benchmark())
         with pytest.raises(ValueError):
             interstage_distance(teacher, teacher, default_grid(4), 32,
-                                method="reflow")
-
-    def test_nonanalytic_teacher_needs_data(self):
-        grid = default_grid(4)
-        with pytest.raises(ValueError):
-            interstage_distance(lambda z, s: z, lambda z, s: z, grid, 32)
+                                default_benchmark(), method="reflow")
 
 
 class TestVelocityResidual:

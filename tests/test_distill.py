@@ -5,9 +5,10 @@ from flowlab.adv import train_adversarial
 from flowlab.distill import (StageGrid, default_grid, distill_grads,
                              infer_few_step, rollout, sample_training_batch,
                              train_student)
-from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
-                          field_features, interpolate, ode_solve, point_mass,
-                          sample_mixture, train_flow_matching)
+from flowlab.flow import (SIGMA_FLOOR, AnalyticField, LearnedField,
+                          TrainConfig, default_benchmark, field_features,
+                          interpolate, ode_solve, point_mass, sample_mixture,
+                          train_flow_matching)
 from flowlab.netcore import MlpSpec, TrainingError, forward, init_params
 
 
@@ -347,3 +348,15 @@ class TestInferFewStep:
             z = ode_solve(teacher, z, grid.boundaries[j],
                           grid.boundaries[j + 1], 1)
         assert np.array_equal(out, z)
+
+    def test_student_sampled_as_trained(self):
+        # the last stage starts below SIGMA_FLOOR; inference must evaluate
+        # the student there as distill_grads and the adversarial rollout do
+        grid = default_grid(4, 0.5, sampler="original")
+        assert grid.t(1) < SIGMA_FLOOR
+        params = init_params(MlpSpec((5, 16, 16, 2), "silu", 0))
+        eps = np.random.default_rng(4).standard_normal((32, 2))
+        trained = rollout(lambda z, s: forward(params, field_features(z, s)),
+                          grid, eps, 4, 0, 1)[-1]
+        assert np.array_equal(infer_few_step(LearnedField(params), grid, eps),
+                              trained)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,6 +46,18 @@ class TestShiftSigma:
         a, b = sorted((a, b))
         assume(b - a > 1e-12)
         assert shift_sigma(a, shift) <= shift_sigma(b, shift)
+
+    @given(sigma=st.floats(0.0, 1.0))
+    def test_identity_at_shift_one_property(self, sigma):
+        assert shift_sigma(sigma, 1.0) == sigma
+
+    def test_no_cancellation_near_one_at_small_shift(self):
+        # the denominator s*sigma + (1 - sigma) does not cancel for small s
+        # near sigma = 1, where 1 + (s - 1)*sigma loses about 1e-16 / s
+        s, sigma = 1e-10, 1.0 - 2.0 ** -40
+        num = Fraction(s) * Fraction(sigma)
+        exact = num / (num + 1 - Fraction(sigma))
+        assert abs(Fraction(shift_sigma(sigma, s)) - exact) / exact < 1e-15
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
