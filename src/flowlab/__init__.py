@@ -1,7 +1,7 @@
 """Desk-scale lab for piecewise rectified-flow distillation on 2D data."""
 
-from .sched import (SigmaSchedule, InferenceSigmas, shift_sigma,
-                    build_base_schedule, sample_original, sample_improved)
+from .sched import (shift_sigma, build_base_schedule, sample_original,
+                    sample_improved)
 from .netcore import (MlpSpec, MlpParams, AdamState, TrainingError,
                       init_params, forward, backward, init_adam, adam_step,
                       save_params, load_params)

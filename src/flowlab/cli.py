@@ -32,7 +32,12 @@ from .distill import StageGrid, default_grid, infer_few_step, train_student
 from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
                    default_benchmark, sample_mixture, solve_on_grid)
 from .netcore import TrainingError, load_params, save_params
-from .sched import SAMPLERS, build_base_schedule, format_sigmas
+from .sched import SAMPLERS, format_sigmas
+
+# evaluation samples stay within this multiple of max |mu| + 5 max s + 1
+SAMPLE_BOUND = 100.0
+COMPARE_STEPS, COMPARE_POINTS = (4, 10, 32), 256  # compare_schedulers defaults
+DIAGNOSE_POINTS = 1024  # samples per divergence and inter-stage probe
 
 
 class ConfigError(ValueError):
@@ -217,7 +222,13 @@ def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     eps = rng.standard_normal((config.eval_samples, 2))
     samples = infer_few_step(student, grid, eps)
-    data = sample_mixture(config.mixture(), config.eval_samples, rng)
+    spec = config.mixture()
+    bound = SAMPLE_BOUND * (np.abs(spec.means).max() + 5 * spec.stds.max() + 1)
+    peak = np.abs(samples).max()
+    if not peak <= bound:
+        raise TrainingError(f"samples reach |x| = {peak:.3g}, beyond {bound:g}"
+                            f" = {SAMPLE_BOUND:g} x (max |mu| + 5 max s + 1)")
+    data = sample_mixture(spec, config.eval_samples, rng)
     stat, p = energy_permutation_test(data, samples, n_permutations=200,
                                       seed=seed)
     metrics = {
@@ -225,8 +236,8 @@ def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
         "energy_distance": stat,
         "energy_p_value": p,
         "interstage": interstage_distance(
-            teacher, student, grid, n=1024, seed=seed,
-            data=config.mixture(), n_permutations=200),
+            teacher, student, grid, n=1024, seed=seed, data=spec,
+            n_permutations=200),
     }
     return samples, metrics
 
@@ -323,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Seeds run in parallel through map_seeds. Writes summary.json, per-seed
     loss CSVs, checkpoints, and sample sets into the output directory;
     reruns with the same config and seeds are bit-identical. A seed whose
-    training diverges or whose metrics are not all finite is `failed`.
+    training or samples diverge or whose metrics are non-finite is `failed`.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,14 +343,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         history = []
         try:
             teacher, grid, student = _train_one(config, seed, history)
+            with open(out / f"losses_seed{seed}.csv", "w") as f:
+                f.write("iter,l_dist,l_adv,l_fm,d_loss\n")
+                for it, row in enumerate(history):
+                    f.write(f"{it},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n")
+            save_params(student.params, out / f"checkpoint_seed{seed}.json")
+            samples, metrics = _evaluate(config, seed, teacher, grid, student)
         except TrainingError as exc:
             return {"status": "failed", "error": str(exc)}
-        with open(out / f"losses_seed{seed}.csv", "w") as f:
-            f.write("iter,l_dist,l_adv,l_fm,d_loss\n")
-            for it, row in enumerate(history):
-                f.write(f"{it},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n")
-        save_params(student.params, out / f"checkpoint_seed{seed}.json")
-        samples, metrics = _evaluate(config, seed, teacher, grid, student)
         with open(out / f"samples_seed{seed}.txt", "w") as f:
             _write_points(f, samples)
         bad = _non_finite(metrics)
@@ -376,7 +387,7 @@ def reproduce_tables(printer=print) -> dict:
     """Recompute the golden scheduler rows and report per-entry verdicts."""
     report = {"rows": [], "all_pass": True}
     for method, shift, expected in _GOLDEN_ROWS:
-        got = SAMPLERS[method](build_base_schedule(1000, shift), 4).sigmas
+        got = default_grid(4, shift, sampler=method).boundaries
         # 1e-9 slack: the improved shift=3 row sits exactly on the 2e-3
         # boundary and float representation noise must not flip the verdict
         ok = bool(np.all(np.abs(got - np.array(expected)) <= 2e-3 + 1e-9))
@@ -387,7 +398,7 @@ def reproduce_tables(printer=print) -> dict:
         printer(f"{method:>8} shift={shift:g}: "
                 + "[" + ", ".join(f"{s:.3f}" for s in got) + "] "
                 + ("PASS" if ok else "FAIL"))
-    prezero = float(SAMPLERS["original"](build_base_schedule(1000, 3.0), 4).sigmas[-2])
+    prezero = float(default_grid(4, 3.0, sampler="original").boundaries[-2])
     ok = abs(prezero - PREZERO_SIGMA_SHIFT3) <= 2e-4
     report["prezero_sigma"] = {"computed": prezero,
                                "expected": PREZERO_SIGMA_SHIFT3, "pass": ok}
@@ -397,16 +408,15 @@ def reproduce_tables(printer=print) -> dict:
     return report
 
 
-def compare_schedulers(config: ExperimentConfig, steps=(4, 10, 32),
-                       n_points: int = 256) -> dict:
+def compare_schedulers(config: ExperimentConfig, steps=COMPARE_STEPS,
+                       n_points: int = COMPARE_POINTS) -> dict:
     """W2-to-data for N-step inference under every sigma sampler, from
     identical noise per seed."""
     if not 1 <= n_points <= W2_MAX_POINTS:
         raise ConfigError(f"n_points must be in [1, {W2_MAX_POINTS}], got {n_points}")
-    schedule = build_base_schedule(1000, config.shift)
     with _config_errors("steps: "):
-        grids = {n: {name: sampler(schedule, n).sigmas
-                     for name, sampler in SAMPLERS.items()} for n in steps}
+        grids = {n: {name: default_grid(n, config.shift, sampler=name).boundaries
+                     for name in SAMPLERS} for n in steps}
     field_ = config.teacher_field()
     data_spec = config.mixture()
     report = {"shift": config.shift, "steps": {}}
@@ -435,15 +445,15 @@ def compare_methods(config: ExperimentConfig) -> dict:
     return report
 
 
-def diagnose(config: ExperimentConfig, checkpoint: str = None,
-             n: int = 1024) -> dict:
+def diagnose(config: ExperimentConfig, checkpoint: str = None) -> dict:
     """Teacher mismatch diagnostics, and inter-stage gaps if a student
     checkpoint is given."""
     student = None if checkpoint is None else _learned_field(checkpoint)
     teacher = config.teacher_field()
     grid = config.grid()
     seed = config.seeds[0]
-    boundaries, means, ses = teacher_trajectory_divergence(teacher, grid, n, seed)
+    boundaries, means, ses = teacher_trajectory_divergence(
+        teacher, grid, DIAGNOSE_POINTS, seed)
     residuals = {}
     for sigma in (0.25, 0.5, 0.75):
         res, se = expected_velocity_residual(teacher, config.mixture(), sigma,
@@ -459,8 +469,8 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None,
     }
     if student is not None:
         report["interstage"] = interstage_distance(
-            teacher, student, grid, n=n, seed=seed, data=config.mixture(),
-            n_permutations=200)
+            teacher, student, grid, n=DIAGNOSE_POINTS, seed=seed,
+            data=config.mixture(), n_permutations=200)
     return report
 
 
@@ -494,9 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print sampler output")
     p.add_argument("action", choices=["print"])
-    p.add_argument("--shift", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--sampler", choices=SAMPLERS, default="improved")
+    p.add_argument("--shift", type=float, default=ExperimentConfig.shift)
+    p.add_argument("--steps", type=int, default=ExperimentConfig.stages)
+    p.add_argument("--sampler", choices=SAMPLERS,
+                   default=ExperimentConfig.scheduler)
 
     sub.add_parser("reproduce-tables", help="golden scheduler rows")
 
@@ -508,16 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--shift", type=float, default=1.0)
+    p.add_argument("--stages", type=int, default=ExperimentConfig.stages)
+    p.add_argument("--shift", type=float, default=ExperimentConfig.shift)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("compare-schedulers")
     _add_config_flags(p)
-    p.add_argument("--steps", default="4,10,32")
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--steps", default=_join()(COMPARE_STEPS))
+    p.add_argument("--n", type=int, default=COMPARE_POINTS)
     return parser
 
 
@@ -530,9 +541,8 @@ def main(argv=None) -> int:
         config = _config_from_args(args) if "config" in args else None
         if args.command == "schedule":
             with _config_errors():
-                schedule = build_base_schedule(1000, args.shift)
-                sigmas = SAMPLERS[args.sampler](schedule, args.steps).sigmas
-            print(format_sigmas(sigmas))
+                grid = default_grid(args.steps, args.shift, sampler=args.sampler)
+            print(format_sigmas(grid.boundaries))
         elif args.command == "reproduce-tables":
             report = reproduce_tables()
             return 0 if report["all_pass"] else 1

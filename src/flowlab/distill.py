@@ -1,5 +1,6 @@
 """Stage grids, the stage rollout, training pairs, student training, inference.
 
+`default_grid` builds every sigma grid in the package as a `StageGrid`.
 `rollout` solves a field stage by stage between two boundaries of a grid;
 OTA starts, the adversarial trajectories, few-step inference and the
 diagnostics all use it. `sample_training_batch` is the one pair builder.
@@ -20,12 +21,12 @@ import numpy as np
 from .flow import (LearnedField, MixtureSpec, TrainConfig, field_features,
                    fit, interpolate, ode_solve, sample_mixture)
 from .netcore import TrainingError, backward, forward
-from .sched import SAMPLERS, build_base_schedule
+from .sched import SAMPLERS
 
 
 @dataclass(frozen=True)
 class StageGrid:
-    """Stage boundaries t_K = 1 > ... > t_0 = 0, stored descending."""
+    """The one grid type: boundaries t_K = 1 > ... > t_0 = 0, descending."""
 
     boundaries: np.ndarray
     teacher_substeps_per_stage: int = 8
@@ -54,10 +55,10 @@ class StageGrid:
 def default_grid(n_stages: int, shift: float = 1.0,
                  teacher_substeps_per_stage=StageGrid.teacher_substeps_per_stage,
                  sampler: str = "improved") -> StageGrid:
-    """Boundaries from a named sigma sampler (`sched.SAMPLERS`), so training
-    and inference share the same fixed schedule."""
-    sig = SAMPLERS[sampler](build_base_schedule(1000, shift), n_stages)
-    return StageGrid(sig.sigmas, teacher_substeps_per_stage)
+    """Boundaries from a named sigma sampler (`sched.SAMPLERS`); the one grid
+    builder, so every caller shares the same fixed schedule."""
+    return StageGrid(SAMPLERS[sampler](n_stages, shift),
+                     teacher_substeps_per_stage)
 
 
 def rollout(field, grid: StageGrid, z, from_k: int, to_k: int,

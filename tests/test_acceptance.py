@@ -23,7 +23,6 @@ from flowlab.flow import (AnalyticField, TrainConfig, analytic_velocity,
                           train_flow_matching)
 from flowlab.netcore import (MlpSpec, backward, forward, forward_with_hidden,
                              init_params)
-from flowlab.sched import build_base_schedule, sample_improved, sample_original
 
 SPEC = default_benchmark()
 
@@ -270,7 +269,6 @@ def test_criterion_10_scheduler_ablation():
     field = AnalyticField(SPEC)
 
     def paired_runs(shift, n_steps):
-        sched = build_base_schedule(1000, shift)
         rows = {"original": [], "improved": []}
         bands = []
         for seed in range(5):
@@ -278,9 +276,8 @@ def test_criterion_10_scheduler_ablation():
             eps = rng.standard_normal((2048, 2))
             data = sample_mixture(SPEC, 2048, rng)
             per_sampler = {}
-            for name, sampler in (("original", sample_original),
-                                  ("improved", sample_improved)):
-                sig = sampler(sched, n_steps).sigmas
+            for name in ("original", "improved"):
+                sig = default_grid(n_steps, shift, sampler=name).boundaries
                 out = solve_on_grid(field, eps, sig)
                 blocks = [w2_exact_small(data[i:i + 256], out[i:i + 256])
                           for i in range(0, 2048, 256)]

@@ -21,6 +21,7 @@ from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
 from flowlab.distill import default_grid
 from flowlab.flow import TrainConfig, default_benchmark
 from flowlab.netcore import MlpSpec, TrainingError, init_params, save_params
+from flowlab.sched import format_sigmas
 
 
 class TestExperimentConfig:
@@ -499,6 +500,21 @@ class TestMainCli:
         assert out[-1] == "0"
         assert len(out) == 5
 
+    def test_grid_flag_defaults_are_the_training_grid(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # schedule print and infer, without grid flags, use the grid a
+        # default config trains on
+        trained = ExperimentConfig().grid().boundaries
+        assert main(["schedule", "print"]) == 0
+        assert capsys.readouterr().out == format_sigmas(trained) + "\n"
+        ckpt, grids = tmp_path / "student.json", []
+        save_params(init_params(MlpSpec((5, 8, 8, 8, 2))), ckpt)
+        monkeypatch.setattr(flowlab.cli, "infer_few_step",
+                            lambda student, grid, eps: grids.append(grid) or eps)
+        assert main(["infer", "--checkpoint", str(ckpt), "--n", "4",
+                     "--out", str(tmp_path / "pts.txt")]) == 0
+        assert np.array_equal(grids[0].boundaries, trained)
+
     def test_reproduce_tables_exit_zero(self, capsys):
         assert main(["reproduce-tables"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -550,6 +566,9 @@ class TestMainCli:
         ["train", "--gan", "foo"],
         ["schedule", "print", "--steps", "0"],
         ["schedule", "print", "--shift", "0"],
+        ["schedule", "print", "--steps", "1001"],
+        # the original sampler shifts twice and underflows to zero
+        ["schedule", "print", "--shift", "1e-200", "--sampler", "original"],
         ["compare-schedulers", "--steps", "a"],
         ["compare-schedulers", "--steps", "0"],
         ["compare-schedulers", "--n", "300"],
@@ -676,21 +695,27 @@ class TestMainCli:
         data = np.loadtxt(points)
         assert data.shape == (32, 2)
 
-    def test_train_non_finite_metric_exit_two(self, tmp_path, capsys):
-        # lr 1e6 blows the student up without a non-finite loss: w2 stays
-        # finite (~1e85) and the energy distance is NaN
+    def test_train_blow_up_fails_every_seed_exit_two(self, tmp_path, capsys):
+        # lr 1e6 blows the students up without a non-finite loss, to sample
+        # coordinates as large as 1e14 that are still finite
         cfg, out = tmp_path / "small.cfg", tmp_path / "run"
         cfg.write_text("eval.samples = 64\n")
         with np.errstate(all="ignore"):
             rc = main(["train", "--config", str(cfg), "--lr", "1e6",
-                       "--iters", "200", "--seed", "0", "--out", str(out)])
+                       "--iters", "200", "--seed", "0,1,2", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("training error: ")
         summary = strict_json((out / "summary.json").read_text())
-        assert summary["seeds"]["0"] == {
-            "status": "failed", "error": "non-finite metric energy_distance"}
+        assert summary["status"] == "training_failed"
+        for seed in ("0", "1", "2"):
+            row = summary["seeds"][seed]
+            assert row["status"] == "failed"
+            assert row["error"].startswith("samples reach |x| = ")
+            assert row["error"].endswith(
+                ", beyond 450 = 100 x (max |mu| + 5 max s + 1)")
+            assert not (out / f"samples_seed{seed}.txt").exists()
 
     def test_diagnose_reports_divergence(self, tmp_path, capsys):
         rc = main(["diagnose", "--iters", "1"])

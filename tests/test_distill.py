@@ -41,12 +41,11 @@ class TestStageGrid:
                              - [1.0, 0.75, 0.5, 0.25, 0.0]) <= 2e-3)
 
     def test_default_grid_matches_improved_sampler(self):
-        from flowlab.sched import (build_base_schedule, sample_improved,
-                                   sample_original)
-        sig = sample_improved(build_base_schedule(1000, 3.0), 4).sigmas
+        from flowlab.sched import sample_improved, sample_original
+        sig = sample_improved(4, 3.0)
         grid = default_grid(4, shift=3.0)
         assert np.array_equal(grid.boundaries, sig)
-        sig = sample_original(build_base_schedule(1000, 3.0), 4).sigmas
+        sig = sample_original(4, 3.0)
         grid = default_grid(4, shift=3.0, sampler="original")
         assert np.array_equal(grid.boundaries, sig)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flowlab import sched
+from flowlab.distill import StageGrid, default_grid
 from flowlab.flow import solve_on_grid
-from flowlab.sched import (SAMPLERS, InferenceSigmas, SigmaSchedule,
-                           build_base_schedule, format_sigmas, sample_improved,
-                           sample_original, shift_sigma)
+from flowlab.sched import (SAMPLERS, build_base_schedule, format_sigmas,
+                           sample_improved, sample_original, shift_sigma)
 
 SHIFTS = st.floats(0.0, 10.0, exclude_min=True)
 T = 1000
@@ -70,23 +71,20 @@ class TestShiftSigma:
 
 class TestBuildBaseSchedule:
     def test_last_element_unshifted(self):
-        sched = build_base_schedule(1000, 1.0)
-        assert abs(sched.train_sigmas[-1] - 0.001) < 1e-12
+        assert abs(build_base_schedule(1000, 1.0)[-1] - 0.001) < 1e-12
 
     def test_interior_element(self):
-        sched = build_base_schedule(1000, 1.0)
-        assert abs(sched.train_sigmas[333] - 0.667) < 1e-12
+        assert abs(build_base_schedule(1000, 1.0)[333] - 0.667) < 1e-12
 
     def test_two_point_linspace(self):
-        sched = build_base_schedule(2, 1.0)
-        assert np.allclose(sched.train_sigmas, [1.0, 0.5])
+        assert np.allclose(build_base_schedule(2, 1.0), [1.0, 0.5])
 
     def test_invariants(self):
         for shift in (0.5, 1.0, 3.0):
-            sched = build_base_schedule(1000, shift)
-            assert sched.train_sigmas[0] == 1.0
-            assert np.all(np.diff(sched.train_sigmas) < 0)
-            assert sched.train_sigmas[-1] > 0
+            base = build_base_schedule(1000, shift)
+            assert base[0] == 1.0
+            assert np.all(np.diff(base) < 0)
+            assert base[-1] > 0
 
     def test_too_few_timesteps(self):
         with pytest.raises(ValueError):
@@ -100,56 +98,53 @@ TOL = 2e-3 + 1e-9
 
 class TestSampleOriginal:
     def test_shift1_n4(self):
-        sig = sample_original(build_base_schedule(1000, 1.0), 4).sigmas
+        sig = sample_original(4, 1.0)
         assert np.all(np.abs(sig - [1.000, 0.667, 0.334, 0.001, 0.000]) <= TOL)
 
     def test_shift3_n4(self):
-        sig = sample_original(build_base_schedule(1000, 3.0), 4).sigmas
+        sig = sample_original(4, 3.0)
         assert np.all(np.abs(sig - [1.000, 0.858, 0.602, 0.009, 0.000]) <= TOL)
 
     def test_prezero_sigma_shift3(self):
-        sig = sample_original(build_base_schedule(1000, 3.0), 4).sigmas
+        sig = sample_original(4, 3.0)
         assert abs(sig[-2] - 0.0089) <= 2e-4
 
     def test_full_grid_degenerate(self):
-        sig = sample_original(build_base_schedule(1000, 1.0), 1000).sigmas
+        sig = sample_original(1000, 1.0)
         assert len(sig) == 1001
         assert abs(sig[-2] - 0.001) < 1e-9
 
     def test_range_error(self):
-        sched = build_base_schedule(1000, 1.0)
         with pytest.raises(ValueError):
-            sample_original(sched, 0)
+            sample_original(0, 1.0)
         with pytest.raises(ValueError):
-            sample_original(sched, 1001)
+            sample_original(1001, 1.0)
 
 
 class TestSampleImproved:
     def test_shift1_n4(self):
-        sig = sample_improved(build_base_schedule(1000, 1.0), 4).sigmas
+        sig = sample_improved(4, 1.0)
         assert np.all(np.abs(sig - [1.000, 0.750, 0.500, 0.250, 0.000]) <= TOL)
 
     def test_shift3_n4(self):
-        sig = sample_improved(build_base_schedule(1000, 3.0), 4).sigmas
+        sig = sample_improved(4, 3.0)
         assert np.all(np.abs(sig - [1.000, 0.900, 0.751, 0.502, 0.000]) <= TOL)
 
     def test_n2_midpoint(self):
-        sig = sample_improved(build_base_schedule(1000, 1.0), 2).sigmas
+        sig = sample_improved(2, 1.0)
         assert np.all(np.abs(sig - [1.000, 0.500, 0.000]) <= TOL)
 
     def test_full_augmented_grid(self):
-        sched = build_base_schedule(1000, 2.0)
-        sig = sample_improved(sched, 1000).sigmas
-        assert np.array_equal(sig, np.append(sched.train_sigmas, 0.0))
+        sig = sample_improved(1000, 2.0)
+        assert np.array_equal(sig, np.append(build_base_schedule(1000, 2.0), 0.0))
 
 
 class TestSamplerProperties:
     @pytest.mark.parametrize("shift", [0.5, 1.0, 3.0, 6.0])
     @pytest.mark.parametrize("n", [1, 2, 4, 10, 32, 250])
     def test_decreasing_ending_at_zero(self, shift, n):
-        sched = build_base_schedule(1000, shift)
         for sampler in (sample_original, sample_improved):
-            sig = sampler(sched, n).sigmas
+            sig = sampler(n, shift)
             assert len(sig) == n + 1
             assert sig[0] == 1.0 and sig[-1] == 0.0
             assert np.all(np.diff(sig) < 0)
@@ -162,9 +157,9 @@ class TestSamplerProperties:
         # below 1e-300, and the original sampler, which shifts twice
         # (about shift**2 * sigma), underflows below 1e-150
         limits = {"original": 1e-150, "improved": 1e-300}
-        for name, sampler in SAMPLERS.items():
+        for name in SAMPLERS:
             try:
-                sig = sampler(build_base_schedule(T, shift), n).sigmas
+                sig = default_grid(n, shift, sampler=name).boundaries
             except ValueError:
                 assert shift < limits[name]
                 continue
@@ -175,7 +170,7 @@ class TestSamplerProperties:
     @settings(max_examples=300, deadline=None)
     @given(shift=st.floats(1e-300, 10.0), n=st.integers(1, T))
     def test_improved_steps_equal_in_unshifted_t(self, shift, n):
-        sig = sample_improved(build_base_schedule(T, shift), n).sigmas
+        sig = sample_improved(n, shift, T)
         raw = sig / (shift * (1.0 - sig) + sig)  # shift_sigma inverted
         # unshifted sigmas are 1 - i/T for indices i; rounding each index
         # to an integer moves a step by less than one index from T/n
@@ -183,20 +178,19 @@ class TestSamplerProperties:
         assert np.all(np.abs(steps - T / n) < 1.0)
 
     def test_improved_proportional_steps_shift1(self):
-        sig = sample_improved(build_base_schedule(1000, 1.0), 4).sigmas
+        sig = sample_improved(4, 1.0)
         diffs = np.diff(sig)
         assert np.ptp(diffs) <= 2e-3
 
     def test_original_disproportional_last_step(self):
-        sig = sample_original(build_base_schedule(1000, 1.0), 4).sigmas
+        sig = sample_original(4, 1.0)
         first_interval = sig[0] - sig[1]
         last_interval = sig[-2] - sig[-1]
         assert last_interval < first_interval / 100
 
     def test_n1_both_reduce_to_single_step(self):
-        sched = build_base_schedule(1000, 3.0)
-        assert np.array_equal(sample_original(sched, 1).sigmas, [1.0, 0.0])
-        assert np.array_equal(sample_improved(sched, 1).sigmas, [1.0, 0.0])
+        assert np.array_equal(sample_original(1, 3.0), [1.0, 0.0])
+        assert np.array_equal(sample_improved(1, 3.0), [1.0, 0.0])
 
 
 class TestStepEuler:
@@ -235,10 +229,28 @@ class TestSerialization:
 
 
 class TestTypeInvariants:
-    def test_schedule_rejects_bad_first_element(self):
-        with pytest.raises(ValueError):
-            SigmaSchedule(np.linspace(0.9, 0.1, 10), 1.0, 10)
+    """build_base_schedule checks the shifted sigmas it builds; StageGrid
+    checks every sampler's output. The shift map is replaced to hand
+    build_base_schedule a bad schedule."""
+
+    @staticmethod
+    def base_from(monkeypatch, sigmas):
+        monkeypatch.setattr(sched, "shift_sigma",
+                            lambda raw, shift: np.asarray(sigmas, dtype=float))
+        return build_base_schedule(len(sigmas), 1.0)
+
+    def test_schedule_rejects_bad_first_element(self, monkeypatch):
+        with pytest.raises(ValueError, match="start at sigma = 1.0"):
+            self.base_from(monkeypatch, np.linspace(0.9, 0.1, 10))
+
+    @pytest.mark.parametrize("sigmas, message", [
+        ([1.0, 0.5, 0.5], "strictly decreasing"),
+        ([1.0, 0.5, 0.0], r"\(0, 1\]"),
+    ], ids=["flat", "reaches-zero"])
+    def test_schedule_rejects_bad_shape(self, monkeypatch, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            self.base_from(monkeypatch, sigmas)
 
     def test_inference_rejects_nonzero_tail(self):
         with pytest.raises(ValueError):
-            InferenceSigmas(np.array([1.0, 0.5, 0.1]))
+            StageGrid(np.array([1.0, 0.5, 0.1]))
