@@ -61,14 +61,14 @@ class AdvConfig:
             raise ValueError("timestep_probs length must equal the stage count")
 
 
-def init_discriminator(widths: tuple = DEFAULT_WIDTHS[:-1] + (1,),
-                       seed: int = 0) -> MlpParams:
+DISC_WIDTHS = DEFAULT_WIDTHS[:-1] + (1,)  # the student's, with a scalar head
+
+
+def init_discriminator(seed: int) -> MlpParams:
     """MLP whose hidden activations are the per-layer features and whose
     final affine layer is the scalar score head. Conditioned on the noise
     level via the same time features as the velocity fields."""
-    if widths[-1] != 1:
-        raise ValueError("discriminator head must be scalar")
-    return init_params(MlpSpec(widths, "silu", seed))
+    return init_params(MlpSpec(DISC_WIDTHS, seed))
 
 
 def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
@@ -80,18 +80,8 @@ def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
     return states[1:]
 
 
-def adv_loss_student(scores) -> float:
-    """Generator loss: negative mean discriminator score on student states."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("need a nonempty score batch")
-    return float(-scores.mean())
-
-
-def disc_loss(real_scores, fake_scores, kind: str,
-              score_grads: list = None) -> float:
-    """Discriminator loss of a GAN_LOSSES kind; score_grads, if given,
-    collects its cotangents with respect to the real and the fake scores."""
+def disc_loss(real_scores, fake_scores, kind: str):
+    """(loss, dloss/dreal, dloss/dfake) of a GAN_LOSSES kind."""
     r = np.asarray(real_scores, dtype=np.float64)
     f = np.asarray(fake_scores, dtype=np.float64)
     if r.size == 0 or f.size == 0:
@@ -99,28 +89,25 @@ def disc_loss(real_scores, fake_scores, kind: str,
     if kind not in GAN_LOSSES:
         raise ValueError(f"unknown gan_kind {kind!r}")
     loss, gr, gf = GAN_LOSSES[kind](r, f)
-    if score_grads is not None:
-        score_grads.extend((gr, gf))
-    return float(loss)
+    return float(loss), gr, gf
 
 
-def fm_loss(teacher_features, student_features, diffs: list = None) -> float:
-    """Sum over layers of the batch-mean L2 feature distance; diffs, if
-    given, collects each layer's (student - teacher, row norms)."""
+def fm_loss(teacher_features, student_features):
+    """(sum over layers of the batch-mean L2 feature distance, each layer's
+    (student - teacher, row norms))."""
     if len(teacher_features) != len(student_features):
         raise ValueError("feature layer counts differ")
-    total = 0.0
+    total, diffs = 0.0, []
     for ft, fs in zip(teacher_features, student_features):
-        ft = np.atleast_2d(np.asarray(ft, dtype=np.float64))
-        fs = np.atleast_2d(np.asarray(fs, dtype=np.float64))
+        ft = np.asarray(ft, dtype=np.float64)
+        fs = np.asarray(fs, dtype=np.float64)
         if ft.shape != fs.shape:
             raise ValueError("feature shapes differ")
         d = fs - ft
         norms = np.linalg.norm(d, axis=-1)
         total += float(np.mean(norms))
-        if diffs is not None:
-            diffs.append((d, norms))
-    return total
+        diffs.append((d, norms))
+    return total, diffs
 
 
 def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
@@ -135,9 +122,8 @@ def _generator_grads(params, grid, tapes, disc, xr, xf, adv_cfg: AdvConfig):
     student's one-step-per-stage rollout (one tape per stage, from t_K)."""
     sf, tape_f = forward_with_hidden(disc, xf)
     _, tape_r = forward_with_hidden(disc, xr)
-    l_adv = adv_loss_student(sf)
-    diffs = []
-    l_fm = fm_loss(tape_r.hidden, tape_f.hidden, diffs)
+    l_adv = float(-sf.mean())  # generator loss: minus the mean fake score
+    l_fm, diffs = fm_loss(tape_r.hidden, tape_f.hidden)
 
     n = len(xf)
     score_grad = np.full((n, 1), -adv_cfg.lambda_adv / n)
@@ -198,10 +184,9 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
         xr, xf = field_features(real, sigma), field_features(fake, sigma)
         sr, tape_r = forward_with_hidden(disc, xr)
         sf, tape_f = forward_with_hidden(disc, xf)
-        score_grads = []
-        d_loss = disc_loss(sr, sf, adv_cfg.gan_kind, score_grads)
-        dgrads, _ = backward(disc, tape_r, score_grads[0])
-        dgrads_f, _ = backward(disc, tape_f, score_grads[1])
+        d_loss, grad_r, grad_f = disc_loss(sr, sf, adv_cfg.gan_kind)
+        dgrads, _ = backward(disc, tape_r, grad_r)
+        dgrads_f, _ = backward(disc, tape_f, grad_f)
         dgrads.flat += dgrads_f.flat
         disc, disc_state = adam_step(disc, dgrads, disc_state)
 

@@ -38,6 +38,7 @@ from .sched import SAMPLERS, format_sigmas
 SAMPLE_BOUND = 100.0
 COMPARE_STEPS, COMPARE_POINTS = (4, 10, 32), 256  # compare_schedulers defaults
 DIAGNOSE_POINTS = 1024  # samples per divergence and inter-stage probe
+EVAL_PERMUTATIONS = 200  # permutations per energy test of a report
 
 
 class ConfigError(ValueError):
@@ -229,15 +230,15 @@ def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
         raise TrainingError(f"samples reach |x| = {peak:.3g}, beyond {bound:g}"
                             f" = {SAMPLE_BOUND:g} x (max |mu| + 5 max s + 1)")
     data = sample_mixture(spec, config.eval_samples, rng)
-    stat, p = energy_permutation_test(data, samples, n_permutations=200,
-                                      seed=seed)
+    stat, p = energy_permutation_test(
+        data, samples, n_permutations=EVAL_PERMUTATIONS, seed=seed)
     metrics = {
-        "w2": w2_exact_small(data[:256], samples[:256]),
+        "w2": w2_exact_small(data[:W2_MAX_POINTS], samples[:W2_MAX_POINTS]),
         "energy_distance": stat,
         "energy_p_value": p,
         "interstage": interstage_distance(
-            teacher, student, grid, n=1024, seed=seed, data=spec,
-            n_permutations=200),
+            teacher, student, grid, n=DIAGNOSE_POINTS, seed=seed, data=spec,
+            n_permutations=EVAL_PERMUTATIONS),
     }
     return samples, metrics
 
@@ -414,7 +415,12 @@ def compare_schedulers(config: ExperimentConfig, steps=COMPARE_STEPS,
     identical noise per seed."""
     if not 1 <= n_points <= W2_MAX_POINTS:
         raise ConfigError(f"n_points must be in [1, {W2_MAX_POINTS}], got {n_points}")
+    # a step count that fails at shift 1 is the steps' fault; any other
+    # failure is the shift's, which one sampler may take and another not
     with _config_errors("steps: "):
+        for n in steps:
+            default_grid(n)
+    with _config_errors("--shift: "):
         grids = {n: {name: default_grid(n, config.shift, sampler=name).boundaries
                      for name in SAMPLERS} for n in steps}
     field_ = config.teacher_field()
@@ -470,7 +476,7 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None) -> dict:
     if student is not None:
         report["interstage"] = interstage_distance(
             teacher, student, grid, n=DIAGNOSE_POINTS, seed=seed,
-            data=config.mixture(), n_permutations=200)
+            data=config.mixture(), n_permutations=EVAL_PERMUTATIONS)
     return report
 
 

@@ -191,7 +191,7 @@ def fit(step, cfg: TrainConfig, history: list = None) -> LearnedField:
     TrainingError("loss diverged at iteration {it}"); else history gets it.
     A TrainingError from step or Adam is re-raised with " at iteration {it}"
     appended."""
-    params = init_params(MlpSpec(DEFAULT_WIDTHS, "silu", cfg.seed))
+    params = init_params(MlpSpec(DEFAULT_WIDTHS, cfg.seed))
     state = init_adam(params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     for it in range(cfg.iterations):

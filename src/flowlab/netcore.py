@@ -1,8 +1,8 @@
 """Minimal dense-network engine: forward, reverse-mode gradients, Adam.
 
 Everything is float64 and purely functional; fixed seeds give bit-identical
-training trajectories on one machine. Inputs may be a single vector or a
-batch with a leading axis; parameter gradients are summed over the batch.
+training trajectories on one machine. Every net is a silu MLP, and its
+inputs are (B, d) batches; parameter gradients are summed over the batch.
 Parameters, gradients and Adam moments are flat vectors of one layout;
 `backward` pulls back a forward pass's tape, so each pass traces once.
 """
@@ -19,27 +19,23 @@ class TrainingError(RuntimeError):
     """Raised when a training signal (loss or gradient) goes non-finite."""
 
 
+# exp(-x) overflows to inf for x below about -709, and both forms are still
+# right there (s = 0); a blown-up run reports one error, not numpy warnings
+@np.errstate(over="ignore")
 def _silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s
 
 
+@np.errstate(over="ignore")
 def _dsilu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
 
-ACTIVATIONS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64)),
-    "silu": (_silu, _dsilu),
-}
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     widths: tuple
-    activation: str = "silu"
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +43,6 @@ class MlpSpec:
         object.__setattr__(self, "widths", widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
             raise ValueError("need at least 2 positive layer widths")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 class MlpParams:
@@ -107,31 +101,26 @@ class Tape:
     """What one traced pass keeps for `backward`."""
 
     params: MlpParams
-    x: np.ndarray     # the input, batched
+    x: np.ndarray     # the (B, d) input
     pre: list         # pre-activations of the hidden layers
-    hidden: list      # post-activation hiddens (the feature layers), batched
-    single: bool      # the input was a single vector
+    hidden: list      # post-activation hiddens (the feature layers)
 
 
 def _trace(params: MlpParams, x):
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.spec.widths[0]:
-        raise ValueError(f"input width {x.shape[-1]} != {params.spec.widths[0]}")
-    act, _ = ACTIVATIONS[params.spec.activation]
+        raise ValueError(f"need a (B, {params.spec.widths[0]}) input batch")
     pre, hidden, h = [], [], x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         pre.append(h @ w + b)
-        h = act(pre[-1])
+        h = _silu(pre[-1])
         hidden.append(h)
     y = h @ params.weights[-1] + params.biases[-1]  # last layer affine
-    return (y[0] if single else y), Tape(params, x, pre, hidden, single)
+    return y, Tape(params, x, pre, hidden)
 
 
 def forward(params: MlpParams, x, tapes: list = None):
-    """Affine + activation stack; last layer affine. A training pass passes
+    """Silu MLP on a (B, d) batch; last layer affine. A training pass passes
     a list as `tapes`, and the pass's tape is appended to it for `backward`."""
     y, tape = _trace(params, x)
     if tapes is not None:
@@ -156,11 +145,8 @@ def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
     if tape.params is not params:
         raise ValueError("tape was recorded under other parameters")
     g = np.asarray(out_grad, dtype=np.float64)
-    if tape.single:
-        g = g[None, :]
     if g.shape != (tape.x.shape[0], params.spec.widths[-1]):
         raise ValueError("out_grad shape does not match network output")
-    _, dact = ACTIVATIONS[params.spec.activation]
 
     grads = MlpParams(params.spec)
     inputs = [tape.x] + tape.hidden  # input to layer i is inputs[i]
@@ -170,12 +156,11 @@ def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
         gh = g @ params.weights[i].T
         if i > 0:
             if hidden_grads is not None and hidden_grads[i - 1] is not None:
-                hg = np.asarray(hidden_grads[i - 1], dtype=np.float64)
-                gh = gh + (hg[None, :] if tape.single else hg)
-            g = gh * dact(tape.pre[i - 1])
+                gh = gh + np.asarray(hidden_grads[i - 1], dtype=np.float64)
+            g = gh * _dsilu(tape.pre[i - 1])
         else:
             g = gh
-    return grads, (g[0] if tape.single else g)
+    return grads, g
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -214,7 +199,7 @@ def save_params(params: MlpParams, path):
     """Self-describing JSON checkpoint (exact float64 round trip)."""
     payload = {
         "widths": list(params.spec.widths),
-        "activation": params.spec.activation,
+        "activation": "silu",
         "seed": params.spec.seed,
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
@@ -224,12 +209,14 @@ def save_params(params: MlpParams, path):
 
 
 def load_params(path) -> MlpParams:
-    """Read a save_params checkpoint; ValueError if it is malformed."""
+    """Read a save_params checkpoint; ValueError if it is malformed or
+    names an activation other than silu."""
     with open(path) as f:
         payload = json.load(f)
     try:
-        spec = MlpSpec(tuple(payload["widths"]), payload["activation"],
-                       payload["seed"])
+        if payload["activation"] != "silu":
+            raise ValueError(f"unknown activation {payload['activation']!r}")
+        spec = MlpSpec(tuple(payload["widths"]), payload["seed"])
         return MlpParams.from_layers(spec, payload["weights"], payload["biases"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from None

@@ -1,7 +1,8 @@
 """Noise schedules and few-step sigma sampling.
 
 Two samplers draw N+1 inference sigmas, as an array, from the full
-training schedule `build_base_schedule`: the original one (samples N
+training schedule `build_base_schedule` of NUM_TRAIN_TIMESTEPS = 1000
+sigmas, as in `FlowMatchEulerDiscreteScheduler`: the original one (samples N
 sigmas, then appends 0, producing a disproportionately small final step)
 and the improved one (appends 0 to the schedule first, then samples N+1
 points evenly so every step interval stays proportional); `SAMPLERS` maps
@@ -30,11 +31,13 @@ def shift_sigma(sigma, shift: float):
     return float(out) if out.ndim == 0 else out
 
 
-def build_base_schedule(num_train_timesteps: int = 1000, shift: float = 1.0) -> np.ndarray:
-    """Evenly spaced sigmas from 1.0 down to 1/T, with the shift map applied."""
-    if num_train_timesteps < 2:
-        raise ValueError("num_train_timesteps must be >= 2")
-    raw = np.linspace(1.0, 1.0 / num_train_timesteps, num_train_timesteps)
+NUM_TRAIN_TIMESTEPS = 1000  # T, the length of the training schedule
+
+
+def build_base_schedule(shift: float) -> np.ndarray:
+    """T evenly spaced sigmas from 1 down to 1/T, with the shift map applied."""
+    T = NUM_TRAIN_TIMESTEPS
+    raw = np.linspace(1.0, 1.0 / T, T)
     sig = shift_sigma(raw, shift)
     if sig[0] != 1.0:
         raise ValueError("schedule must start at sigma = 1.0 exactly")
@@ -45,8 +48,7 @@ def build_base_schedule(num_train_timesteps: int = 1000, shift: float = 1.0) -> 
     return sig
 
 
-def sample_original(n_steps: int, shift: float,
-                    num_train_timesteps: int = 1000) -> np.ndarray:
+def sample_original(n_steps: int, shift: float) -> np.ndarray:
     """N+1 sigmas by the original (flawed) method.
 
     Evenly spaces N points in the t-domain t(sigma) = sigma * T over the
@@ -55,24 +57,23 @@ def sample_original(n_steps: int, shift: float,
     test, e.g. a pre-zero sigma of ~0.0089 at shift=3, N=4), and finally
     appends sigma = 0.
     """
-    T = num_train_timesteps
-    t = build_base_schedule(T, shift) * T
+    T = NUM_TRAIN_TIMESTEPS
+    t = build_base_schedule(shift) * T
     if not 1 <= n_steps <= T:
         raise ValueError(f"n_steps must be in [1, {T}], got {n_steps}")
     t_grid = np.linspace(t[0], t[-1], n_steps)
     return np.append(shift_sigma(t_grid / T, shift), 0.0)
 
 
-def sample_improved(n_steps: int, shift: float,
-                    num_train_timesteps: int = 1000) -> np.ndarray:
+def sample_improved(n_steps: int, shift: float) -> np.ndarray:
     """N+1 sigmas by the improved method.
 
     Appends sigma = 0 to the shifted base schedule first, then gathers N+1
     evenly spaced (nearest-integer) indices over the augmented range, so
     all step intervals in the unshifted t-domain are proportionally equal.
     """
-    T = num_train_timesteps
-    full = np.append(build_base_schedule(T, shift), 0.0)
+    T = NUM_TRAIN_TIMESTEPS
+    full = np.append(build_base_schedule(shift), 0.0)
     if not 1 <= n_steps <= T:
         raise ValueError(f"n_steps must be in [1, {T}], got {n_steps}")
     # ties away from zero; indices are non-negative so floor(x + 0.5) does it

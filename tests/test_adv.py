@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import flowlab.adv
-from flowlab.adv import (GAN_LOSSES, AdvConfig, _generator_grads,
-                         adv_loss_student, disc_loss, fm_loss,
-                         init_discriminator, sample_timestep,
+from flowlab.adv import (GAN_LOSSES, AdvConfig, _generator_grads, disc_loss,
+                         fm_loss, init_discriminator, sample_timestep,
                          train_adversarial, trajectory_states)
 from flowlab.distill import (default_grid, rollout, sample_training_batch,
                              train_student)
-from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
-                          field_features, ode_solve)
-from flowlab.netcore import MlpSpec, forward, forward_with_hidden, init_params
+from flowlab.flow import (DEFAULT_WIDTHS, AnalyticField, TrainConfig,
+                          default_benchmark, field_features, ode_solve)
+from flowlab.netcore import (MlpParams, MlpSpec, forward, forward_with_hidden,
+                             init_params)
 
 
 class TestAdvConfig:
@@ -45,27 +45,30 @@ class TestLossArithmetic:
     """Hand-computed values for every loss form."""
 
     def test_adv_loss(self):
-        assert adv_loss_student([1.0, 3.0]) == -2.0
-        assert adv_loss_student([-4.0]) == 4.0
-
-    def test_adv_loss_empty(self):
-        with pytest.raises(ValueError):
-            adv_loss_student([])
+        # the generator's adversarial loss is minus the mean fake score; a
+        # hidden-free discriminator scoring the first coordinate has no
+        # feature-matching term
+        disc = MlpParams.from_layers(MlpSpec((5, 1)), [np.eye(5, 1)], [[0.0]])
+        xf = field_features(np.array([[1.0, 0.0], [3.0, 0.0]]), 0.5)
+        params = init_params(MlpSpec((5, 2)))
+        l_adv, l_fm, _ = _generator_grads(params, default_grid(4), [], disc,
+                                          xf, xf, AdvConfig())
+        assert (l_adv, l_fm) == (-2.0, 0.0)
 
     def test_hinge(self):
         # real: max(0, 1-2)=0, max(0, 1-0.5)=0.5 -> mean 0.25
         # fake: max(0, 1+(-3))=0, max(0, 1+0.5)=1.5 -> mean 0.75
-        assert disc_loss([2.0, 0.5], [-3.0, 0.5], "hinge") == 1.0
+        assert disc_loss([2.0, 0.5], [-3.0, 0.5], "hinge")[0] == 1.0
 
     def test_hinge_perfect_separation(self):
-        assert disc_loss([5.0, 2.0], [-5.0, -2.0], "hinge") == 0.0
+        assert disc_loss([5.0, 2.0], [-5.0, -2.0], "hinge")[0] == 0.0
 
     def test_lsgan(self):
         # real: (2-1)^2=1, (0-1)^2=1 -> mean 1; fake: 4, 0 -> mean 2
-        assert disc_loss([2.0, 0.0], [-2.0, 0.0], "lsgan") == 3.0
+        assert disc_loss([2.0, 0.0], [-2.0, 0.0], "lsgan")[0] == 3.0
 
     def test_wgan(self):
-        assert disc_loss([3.0, 1.0], [0.5, 1.5], "wgan") == -1.0
+        assert disc_loss([3.0, 1.0], [0.5, 1.5], "wgan")[0] == -1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -77,17 +80,15 @@ class TestLossArithmetic:
         # close to one but none within the step of it
         r = np.array([[-0.7], [0.4], [0.95], [1.05], [1.8], [2.5]])
         f = np.array([[-2.2], [-1.3], [-1.05], [-0.95], [0.3], [1.1]])
-        score_grads = []
-        loss = disc_loss(r, f, kind, score_grads)
-        assert loss == disc_loss(r, f, kind)
+        _, *score_grads = disc_loss(r, f, kind)
         h = 1e-6
         for scores, grad in zip((r, f), score_grads):
             assert grad.shape == scores.shape
             for i in range(len(scores)):
                 scores[i] += h
-                up = disc_loss(r, f, kind)
+                up = disc_loss(r, f, kind)[0]
                 scores[i] -= 2 * h
-                down = disc_loss(r, f, kind)
+                down = disc_loss(r, f, kind)[0]
                 scores[i] += h
                 assert abs((up - down) / (2 * h) - grad[i, 0]) <= 1e-8
 
@@ -95,17 +96,17 @@ class TestLossArithmetic:
         ft = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 3.0]])]
         fs = [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[4.0, 0.0]])]
         # layer 1: norms (1, 0) -> mean 0.5; layer 2: norm 5 -> 5
-        assert fm_loss(ft, fs) == 5.5
+        assert fm_loss(ft, fs)[0] == 5.5
 
     def test_fm_loss_identical_features(self):
         f = [np.ones((3, 4)), np.zeros((3, 8))]
-        assert fm_loss(f, [a.copy() for a in f]) == 0.0
+        assert fm_loss(f, [a.copy() for a in f])[0] == 0.0
 
     def test_fm_loss_collects_gradient_terms(self):
         ft = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 3.0]])]
         fs = [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[4.0, 0.0]])]
-        diffs = []
-        assert fm_loss(ft, fs, diffs) == fm_loss(ft, fs) == 5.5
+        loss, diffs = fm_loss(ft, fs)
+        assert loss == 5.5
         assert len(diffs) == 2
         for (d, norms), t, s in zip(diffs, ft, fs):
             np.testing.assert_array_equal(d, s - t)
@@ -136,16 +137,18 @@ class TestSampleTimestep:
 
 class TestDiscriminator:
     def test_feature_layer_count(self):
-        d = init_discriminator()
+        d = init_discriminator(0)
         _, tape = forward_with_hidden(d, field_features(np.zeros((1, 2)), 0.5))
         assert len(tape.hidden) == 3
 
     def test_scalar_head_enforced(self):
-        with pytest.raises(ValueError):
-            init_discriminator(widths=(5, 16, 2))
+        # the student's widths with a scalar score head, whatever the seed
+        for seed in (0, 1):
+            spec = init_discriminator(seed).spec
+            assert spec == MlpSpec(DEFAULT_WIDTHS[:-1] + (1,), seed)
 
     def test_forward_shapes(self):
-        d = init_discriminator(widths=(5, 16, 8, 1))
+        d = init_params(MlpSpec((5, 16, 8, 1)))
         z = np.random.default_rng(2).standard_normal((6, 2))
         score, tape = forward_with_hidden(d, field_features(z, 0.5))
         assert score.shape == (6, 1)
@@ -197,8 +200,8 @@ class TestGeneratorGrads:
     def test_matches_finite_differences(self, lambda_adv, lambda_fm):
         adv_cfg = AdvConfig(lambda_adv=lambda_adv, lambda_fm=lambda_fm)
         grid = default_grid(4)
-        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
-        disc = init_discriminator(widths=(5, 8, 6, 1), seed=1)
+        params = init_params(MlpSpec((5, 8, 2), 0))
+        disc = init_params(MlpSpec((5, 8, 6, 1), 1))
         rng = np.random.default_rng(12)
         eps = rng.standard_normal((6, 2))
         to_k = 1
@@ -213,8 +216,8 @@ class TestGeneratorGrads:
         def objective():
             sf, tape_f = forward_with_hidden(disc, student_states())
             _, tape_r = forward_with_hidden(disc, xr)
-            return (lambda_adv * adv_loss_student(sf)
-                    + lambda_fm * fm_loss(tape_r.hidden, tape_f.hidden))
+            return (lambda_adv * float(-sf.mean())
+                    + lambda_fm * fm_loss(tape_r.hidden, tape_f.hidden)[0])
 
         tapes = []
         xf = student_states(tapes)

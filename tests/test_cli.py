@@ -571,6 +571,9 @@ class TestMainCli:
         ["schedule", "print", "--shift", "1e-200", "--sampler", "original"],
         ["compare-schedulers", "--steps", "a"],
         ["compare-schedulers", "--steps", "0"],
+        # the original sampler underflows at a shift the improved one takes
+        ["compare-schedulers", "--shift", "1e-200", "--steps", "4", "--n", "8",
+         "--seed", "0"],
         ["compare-schedulers", "--n", "300"],
         ["infer", "--n", "-1"],
         ["infer", "--stages", "0"],
@@ -585,6 +588,10 @@ class TestMainCli:
         ["train", "--bogus", "1"],
     ], ids=" ".join)
     def test_bad_flag_value_exit_one_before_output(self, tmp_path, capsys, argv):
+        # where two flags could be at fault, the message names the right one
+        named = {"compare-schedulers --steps 0": "steps: ",
+                 "compare-schedulers --shift 1e-200 --steps 4 --n 8 --seed 0":
+                 "--shift: "}.get(" ".join(argv), "")
         out = tmp_path / "run"
         if argv[0] == "infer":
             ckpt = tmp_path / "student.json"
@@ -593,7 +600,7 @@ class TestMainCli:
         if argv[0] != "schedule":
             argv = [*argv, "--out", str(out)]
         assert main(argv) == 1
-        one_config_error(capsys)
+        assert one_config_error(capsys).startswith(f"config error: {named}")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
@@ -654,9 +661,10 @@ class TestMainCli:
         lambda d: d.update(weights=d["weights"][:2], biases=d["biases"][:2]),
         lambda d: d.update(biases=[b[:-1] for b in d["biases"]]),
         lambda d: d.pop("activation"),
+        lambda d: d.update(activation="tanh"),
         None,
     ], ids=["too-few-layers", "bias-sizes", "missing-activation",
-            "invalid-json"])
+            "tanh-activation", "invalid-json"])
     @pytest.mark.parametrize("command", ["infer", "diagnose", "train"])
     def test_malformed_checkpoint_exit_one(self, tmp_path, capsys, command,
                                            break_checkpoint):
@@ -695,18 +703,21 @@ class TestMainCli:
         data = np.loadtxt(points)
         assert data.shape == (32, 2)
 
+    # pytest's warning capture hides numpy's RuntimeWarnings from capsys, so
+    # they are made errors: the one stderr line must be all the user sees
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_blow_up_fails_every_seed_exit_two(self, tmp_path, capsys):
         # lr 1e6 blows the students up without a non-finite loss, to sample
         # coordinates as large as 1e14 that are still finite
         cfg, out = tmp_path / "small.cfg", tmp_path / "run"
         cfg.write_text("eval.samples = 64\n")
-        with np.errstate(all="ignore"):
-            rc = main(["train", "--config", str(cfg), "--lr", "1e6",
-                       "--iters", "200", "--seed", "0,1,2", "--out", str(out)])
+        rc = main(["train", "--config", str(cfg), "--lr", "1e6",
+                   "--iters", "200", "--seed", "0,1,2", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("training error: ")
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training error: ")
         summary = strict_json((out / "summary.json").read_text())
         assert summary["status"] == "training_failed"
         for seed in ("0", "1", "2"):

@@ -172,7 +172,7 @@ class TestDistillLoss:
     """The loss distill_grads returns: mean || v_S(z_t, t) - v* ||^2."""
 
     def test_zero_for_perfect_student(self):
-        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        params = init_params(MlpSpec((5, 8, 2), 0))
         rng = np.random.default_rng(11)
         z_t, t = rng.standard_normal((4, 2)), rng.uniform(0.1, 0.9, 4)
         v = forward(params, field_features(z_t, t))
@@ -182,7 +182,7 @@ class TestDistillLoss:
 
     def test_known_arithmetic(self):
         # all-zero weights: the output is the last bias for every input
-        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        params = init_params(MlpSpec((5, 8, 2), 0))
         params.flat[:] = 0.0
         params.biases[-1][:] = (3.0, 4.0)
         loss, _ = distill_grads(params, np.zeros((2, 2)), np.full(2, 0.25),
@@ -266,7 +266,7 @@ class TestSampleTrainingBatch:
 
 class TestDistillGrads:
     def test_gradient_matches_finite_differences(self):
-        params = init_params(MlpSpec((5, 8, 2), "silu", 0))
+        params = init_params(MlpSpec((5, 8, 2), 0))
         rng = np.random.default_rng(10)
         z_t = rng.standard_normal((4, 2))
         t = rng.uniform(0.1, 0.9, 4)
@@ -353,7 +353,7 @@ class TestInferFewStep:
         # the student there as distill_grads and the adversarial rollout do
         grid = default_grid(4, 0.5, sampler="original")
         assert grid.t(1) < SIGMA_FLOOR
-        params = init_params(MlpSpec((5, 16, 16, 2), "silu", 0))
+        params = init_params(MlpSpec((5, 16, 16, 2), 0))
         eps = np.random.default_rng(4).standard_normal((32, 2))
         trained = rollout(lambda z, s: forward(params, field_features(z, s)),
                           grid, eps, 4, 0, 1)[-1]

@@ -224,7 +224,7 @@ class TestTrainFlowMatching:
         cfg = TrainConfig(iterations=0, seed=5)
         field = train_flow_matching(spec, cfg=cfg)
         from flowlab.netcore import init_params
-        fresh = init_params(MlpSpec((5, 64, 64, 64, 2), "silu", 5))
+        fresh = init_params(MlpSpec((5, 64, 64, 64, 2), 5))
         for a, b in zip(field.params.weights, fresh.weights):
             assert np.array_equal(a, b)
 

@@ -10,23 +10,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowlab.netcore import (ACTIVATIONS, MlpParams, MlpSpec,
-                             TrainingError, adam_step, backward, forward,
-                             forward_with_hidden, init_adam, init_params,
-                             load_params, save_params)
+from flowlab.netcore import (MlpParams, MlpSpec, TrainingError, adam_step,
+                             backward, forward, forward_with_hidden,
+                             init_adam, init_params, load_params, save_params)
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def silu(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s
+
+
+def dsilu(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 + x * (1.0 - s))
+
+
 def reference_forward(params, x):
     """Straight-line re-evaluation of the same arithmetic (oracle)."""
-    act, _ = ACTIVATIONS[params.spec.activation]
     h = np.asarray(x, dtype=np.float64)
     n = len(params.weights)
     for i in range(n):
         h = h @ params.weights[i] + params.biases[i]
         if i < n - 1:
-            h = act(h)
+            h = silu(h)
     return h
 
 
@@ -61,33 +69,31 @@ def param_grads(params, x, out_grad, hidden_grads=None):
 
 class TestInit:
     def test_same_seed_identical(self):
-        spec = MlpSpec((2, 8, 2), "tanh", 7)
+        spec = MlpSpec((2, 8, 2), 7)
         a, b = init_params(spec), init_params(spec)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
     def test_different_seeds_differ(self):
-        a = init_params(MlpSpec((2, 8, 2), "tanh", 0))
-        b = init_params(MlpSpec((2, 8, 2), "tanh", 1))
+        a = init_params(MlpSpec((2, 8, 2), 0))
+        b = init_params(MlpSpec((2, 8, 2), 1))
         assert any(not np.array_equal(wa, wb)
                    for wa, wb in zip(a.weights, b.weights))
 
     def test_biases_zero(self):
-        p = init_params(MlpSpec((2, 8, 2), "tanh", 0))
+        p = init_params(MlpSpec((2, 8, 2), 0))
         assert all(np.all(b == 0) for b in p.biases)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            MlpSpec((2,), "tanh", 0)
+            MlpSpec((2,), 0)
         with pytest.raises(ValueError):
-            MlpSpec((2, 0, 2), "tanh", 0)
-        with pytest.raises(ValueError):
-            MlpSpec((2, 4, 2), "gelu", 0)
+            MlpSpec((2, 0, 2), 0)
 
 
 class TestFlatParams:
     def test_layers_are_contiguous_views_of_one_vector(self):
-        p = init_params(MlpSpec((3, 5, 4, 2), "silu", 0))
+        p = init_params(MlpSpec((3, 5, 4, 2), 0))
         assert p.flat.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
         assert [w.shape for w in p.weights] == [(3, 5), (5, 4), (4, 2)]
         assert [b.shape for b in p.biases] == [(5,), (4,), (2,)]
@@ -113,7 +119,7 @@ class TestFlatParams:
         assert q.flat[0] == p.flat[0] + 1.0
 
     def test_from_layers_copies_in(self):
-        spec = MlpSpec((2, 3), "tanh", 0)
+        spec = MlpSpec((2, 3), 0)
         w, b = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0, 8.0])
         p = MlpParams.from_layers(spec, [w], [b])
         w[0, 0] = -1.0
@@ -130,67 +136,68 @@ class TestFlatParams:
             "bias-shape", "missing-bias"])
     def test_from_layers_rejects_mismatch(self, weights, biases):
         with pytest.raises(ValueError):
-            MlpParams.from_layers(MlpSpec((2, 4, 3), "tanh", 0), weights,
+            MlpParams.from_layers(MlpSpec((2, 4, 3), 0), weights,
                                   biases)
 
     def test_rejects_wrong_vector_size(self):
         with pytest.raises(ValueError):
-            MlpParams(MlpSpec((2, 4, 3), "tanh", 0), np.zeros(30))
+            MlpParams(MlpSpec((2, 4, 3), 0), np.zeros(30))
 
 
 class TestForward:
     def test_zero_params_zero_output(self):
-        p = init_params(MlpSpec((3, 5, 2), "relu", 0))
+        p = init_params(MlpSpec((3, 5, 2), 0))
         for w in p.weights:
             w[:] = 0.0
-        assert np.all(forward(p, np.ones(3)) == 0.0)
+        assert np.all(forward(p, np.ones((4, 3))) == 0.0)
 
     def test_identity_affine_layer(self):
-        p = MlpParams.from_layers(MlpSpec((2, 2), "tanh", 0), [np.eye(2)],
+        p = MlpParams.from_layers(MlpSpec((2, 2), 0), [np.eye(2)],
                                   [np.zeros(2)])
-        x = np.array([0.3, -1.7])
+        x = np.array([[0.3, -1.7]])
         assert np.array_equal(forward(p, x), x)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "silu"])
-    def test_matches_reference(self, activation):
+    def test_matches_reference(self):
         rng = np.random.default_rng(5)
-        p = init_params(MlpSpec((3, 7, 4, 2), activation, 11))
+        p = init_params(MlpSpec((3, 7, 4, 2), 11))
         x = rng.standard_normal((6, 3))
         assert np.max(np.abs(forward(p, x) - reference_forward(p, x))) < 1e-12
 
     def test_shape_mismatch(self):
-        p = init_params(MlpSpec((3, 4, 2), "tanh", 0))
-        with pytest.raises(ValueError):
-            forward(p, np.ones(4))
+        # the input is a (B, 3) batch; a single vector is rejected too
+        p = init_params(MlpSpec((3, 4, 2), 0))
+        for shape in [(1, 4), (3,), (1, 1, 3)]:
+            with pytest.raises(ValueError, match=r"\(B, 3\) input batch"):
+                forward(p, np.ones(shape))
 
     def test_hidden_layer_count(self):
-        p = init_params(MlpSpec((2, 8, 8, 8, 1), "silu", 0))
-        _, tape = forward_with_hidden(p, np.ones(2))
+        p = init_params(MlpSpec((2, 8, 8, 8, 1), 0))
+        _, tape = forward_with_hidden(p, np.ones((1, 2)))
         assert len(tape.hidden) == 3
         assert all(h.shape == (1, 8) for h in tape.hidden)
 
 
 class TestBackward:
     def test_zero_cotangent(self):
-        p = init_params(MlpSpec((2, 6, 2), "silu", 0))
-        grads, xg = param_grads(p, np.ones(2), np.zeros(2))
+        p = init_params(MlpSpec((2, 6, 2), 0))
+        grads, xg = param_grads(p, np.ones((1, 2)), np.zeros((1, 2)))
         assert not np.any(grads.flat)
         assert np.all(xg == 0)
 
     def test_linear_input_gradient(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((3, 2))
-        p = MlpParams.from_layers(MlpSpec((3, 2), "tanh", 0), [w],
+        p = MlpParams.from_layers(MlpSpec((3, 2), 0), [w],
                                   [np.zeros(2)])
-        g = rng.standard_normal(2)
-        _, xg = param_grads(p, rng.standard_normal(3), g)
-        assert np.allclose(xg, w @ g, atol=1e-14)
+        g = rng.standard_normal((1, 2))
+        _, xg = param_grads(p, rng.standard_normal((1, 3)), g)
+        assert np.allclose(xg, g @ w.T, atol=1e-14)
 
     def test_finite_difference_check(self):
         # acceptance-grade check on one net; the full 10-net sweep lives in
         # the acceptance suite
         rng = np.random.default_rng(3)
-        p = init_params(MlpSpec((2, 16, 16, 2), "silu", 3))
+        p = init_params(MlpSpec((2, 16, 16, 2), 3))
         x = rng.standard_normal((4, 2))
         g = rng.standard_normal((4, 2))
         grads, _ = param_grads(p, x, g)
@@ -203,7 +210,7 @@ class TestBackward:
         # extra cotangent on a hidden layer equals finite differences of
         # sum(hidden * cot)
         rng = np.random.default_rng(4)
-        p = init_params(MlpSpec((2, 8, 8, 2), "tanh", 9))
+        p = init_params(MlpSpec((2, 8, 8, 2), 9))
         x = rng.standard_normal((3, 2))
         hg = [rng.standard_normal(8), None]
 
@@ -224,7 +231,7 @@ class TestBackward:
             assert abs(fd - grads.weights[0][idx]) <= 1e-6 * max(1.0, abs(fd))
 
     def test_deterministic(self):
-        p = init_params(MlpSpec((2, 8, 2), "silu", 1))
+        p = init_params(MlpSpec((2, 8, 2), 1))
         x = np.ones((2, 2))
         g = np.ones((2, 2))
         a, _ = param_grads(p, x, g)
@@ -234,7 +241,7 @@ class TestBackward:
     def test_stale_tape_rejected(self):
         # a tape recorded before an Adam step must not be pulled back under
         # the updated parameters
-        p = init_params(MlpSpec((2, 8, 2), "silu", 1))
+        p = init_params(MlpSpec((2, 8, 2), 1))
         x, g = np.ones((3, 2)), np.ones((3, 2))
         _, tape = forward_with_hidden(p, x)
         grads, _ = backward(p, tape, g)
@@ -243,7 +250,7 @@ class TestBackward:
             backward(p2, tape, g)
 
     def test_out_grad_shape_checked(self):
-        p = init_params(MlpSpec((2, 8, 2), "silu", 1))
+        p = init_params(MlpSpec((2, 8, 2), 1))
         _, tape = forward_with_hidden(p, np.ones((3, 2)))
         with pytest.raises(ValueError):
             backward(p, tape, np.ones((3, 1)))
@@ -263,16 +270,12 @@ class RefParams:
 
 def _ref_as_batch(params, x):
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.spec.widths[0]:
         raise ValueError(f"input width {x.shape[-1]} != {params.spec.widths[0]}")
-    return x, single
+    return x
 
 
 def _ref_trace(params, x):
-    act, _ = ACTIVATIONS[params.spec.activation]
     n_layers = len(params.weights)
     pre, hidden = [], []
     h = x
@@ -280,7 +283,7 @@ def _ref_trace(params, x):
         a = h @ w + b
         pre.append(a)
         if i < n_layers - 1:
-            h = act(a)
+            h = silu(a)
             hidden.append(h)
         else:
             h = a  # last layer affine
@@ -288,19 +291,15 @@ def _ref_trace(params, x):
 
 
 def ref_forward(params, x):
-    x2d, single = _ref_as_batch(params, x)
-    y, _, _ = _ref_trace(params, x2d)
-    return y[0] if single else y
+    y, _, _ = _ref_trace(params, _ref_as_batch(params, x))
+    return y
 
 
 def ref_backward(params, x, out_grad, hidden_grads=None):
-    x2d, single = _ref_as_batch(params, x)
+    x2d = _ref_as_batch(params, x)
     g = np.asarray(out_grad, dtype=np.float64)
-    if single:
-        g = g[None, :]
     if g.shape != (x2d.shape[0], params.spec.widths[-1]):
         raise ValueError("out_grad shape does not match network output")
-    _, dact = ACTIVATIONS[params.spec.activation]
     _, pre, hidden = _ref_trace(params, x2d)
 
     n_layers = len(params.weights)
@@ -313,12 +312,11 @@ def ref_backward(params, x, out_grad, hidden_grads=None):
         gh = g @ params.weights[i].T
         if i > 0:
             if hidden_grads is not None and hidden_grads[i - 1] is not None:
-                hg = np.asarray(hidden_grads[i - 1], dtype=np.float64)
-                gh = gh + (hg[None, :] if single else hg)
-            g = gh * dact(pre[i - 1])
+                gh = gh + np.asarray(hidden_grads[i - 1], dtype=np.float64)
+            g = gh * dsilu(pre[i - 1])
         else:
             g = gh
-    return (w_grads, b_grads), (g[0] if single else g)
+    return (w_grads, b_grads), g
 
 
 @dataclass
@@ -384,23 +382,20 @@ def _flatten(weights, biases):
 class TestBitIdentityWithRetracingReference:
     @pytest.mark.parametrize("inject", [False, True],
                              ids=["output-only", "hidden-grads"])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "silu"])
-    def test_thirty_steps_equal(self, activation, inject):
-        rng = np.random.default_rng([7, len(activation), inject])
+    def test_thirty_steps_equal(self, inject):
+        rng = np.random.default_rng([7, inject])
         depth = int(rng.integers(1, 4))
         widths = (int(rng.integers(2, 6)),
                   *(int(rng.integers(4, 65)) for _ in range(depth)),
                   int(rng.integers(1, 4)))
-        spec = MlpSpec(widths, activation, int(rng.integers(1000)))
+        spec = MlpSpec(widths, int(rng.integers(1000)))
         params = init_params(spec)
         ref = RefParams(spec, [w.copy() for w in params.weights],
                         [b.copy() for b in params.biases])
         state = init_adam(params, lr=1e-2)
         ref_state = ref_init_adam(ref, lr=1e-2)
         for step in range(30):
-            # every fifth step feeds a single vector, the others a batch
-            shape = ((widths[0],) if step % 5 == 0
-                     else (int(rng.integers(1, 160)), widths[0]))
+            shape = (int(rng.integers(1, 160)), widths[0])
             x = rng.standard_normal(shape)
             target = rng.standard_normal(shape[:-1] + (widths[-1],))
             y, tape = forward_with_hidden(params, x)
@@ -425,17 +420,17 @@ class TestBitIdentityWithRetracingReference:
 
 
 def scalar_params(w0: float) -> MlpParams:
-    return MlpParams(MlpSpec((1, 1), "tanh", 0), np.array([w0, 0.0]))
+    return MlpParams(MlpSpec((1, 1), 0), np.array([w0, 0.0]))
 
 
 def scalar_grads(gw: float) -> MlpParams:
     """Gradient d/dw for the one-weight net; the bias gradient is 0."""
-    return MlpParams(MlpSpec((1, 1), "tanh", 0), np.array([gw, 0.0]))
+    return MlpParams(MlpSpec((1, 1), 0), np.array([gw, 0.0]))
 
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        p = init_params(MlpSpec((2, 4, 2), "silu", 0))
+        p = init_params(MlpSpec((2, 4, 2), 0))
         state = init_adam(p)
         p2, state2 = adam_step(p, MlpParams(p.spec), state)
         assert state2.step == 1
@@ -466,7 +461,7 @@ class TestAdam:
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        p = init_params(MlpSpec((2, 8, 3), "silu", 13))
+        p = init_params(MlpSpec((2, 8, 3), 13))
         path = tmp_path / "ckpt.json"
         save_params(p, path)
         q = load_params(path)
@@ -476,10 +471,9 @@ class TestCheckpoint:
 
     @settings(max_examples=40, deadline=None)
     @given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=5),
-           activation=st.sampled_from(sorted(ACTIVATIONS)),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_roundtrip_property(self, widths, activation, seed, data):
-        p = init_params(MlpSpec(tuple(widths), activation, seed))
+    def test_roundtrip_property(self, widths, seed, data):
+        p = init_params(MlpSpec(tuple(widths), seed))
         p.flat[:] = data.draw(arrays(np.float64, p.flat.shape, elements=st.floats(
             allow_nan=False, allow_infinity=False)))
         with tempfile.TemporaryDirectory() as tmp:
@@ -510,8 +504,9 @@ class TestCheckpoint:
         lambda d: d.pop("activation"),
         lambda d: d.update(widths=7),
         lambda d: d["weights"][0][0].append(1.0),
+        lambda d: d.update(activation="tanh"),
     ], ids=["too-few-layers", "bias-size", "weight-rows", "missing-key",
-            "widths-not-a-list", "ragged-weight"])
+            "widths-not-a-list", "ragged-weight", "tanh-activation"])
     def test_malformed_rejected(self, tmp_path, edit):
         payload = json.loads((DATA / "checkpoint_v0.json").read_text())
         edit(payload)

@@ -11,7 +11,7 @@ from flowlab.sched import (SAMPLERS, build_base_schedule, format_sigmas,
                            sample_improved, sample_original, shift_sigma)
 
 SHIFTS = st.floats(0.0, 10.0, exclude_min=True)
-T = 1000
+T = 1000  # sched.NUM_TRAIN_TIMESTEPS
 
 
 class TestShiftSigma:
@@ -71,24 +71,18 @@ class TestShiftSigma:
 
 class TestBuildBaseSchedule:
     def test_last_element_unshifted(self):
-        assert abs(build_base_schedule(1000, 1.0)[-1] - 0.001) < 1e-12
+        assert len(build_base_schedule(1.0)) == T
+        assert abs(build_base_schedule(1.0)[-1] - 0.001) < 1e-12
 
     def test_interior_element(self):
-        assert abs(build_base_schedule(1000, 1.0)[333] - 0.667) < 1e-12
-
-    def test_two_point_linspace(self):
-        assert np.allclose(build_base_schedule(2, 1.0), [1.0, 0.5])
+        assert abs(build_base_schedule(1.0)[333] - 0.667) < 1e-12
 
     def test_invariants(self):
         for shift in (0.5, 1.0, 3.0):
-            base = build_base_schedule(1000, shift)
+            base = build_base_schedule(shift)
             assert base[0] == 1.0
             assert np.all(np.diff(base) < 0)
             assert base[-1] > 0
-
-    def test_too_few_timesteps(self):
-        with pytest.raises(ValueError):
-            build_base_schedule(1, 1.0)
 
 
 # golden rows for N=4; tiny slack because improved shift=3 sits exactly on
@@ -136,7 +130,7 @@ class TestSampleImproved:
 
     def test_full_augmented_grid(self):
         sig = sample_improved(1000, 2.0)
-        assert np.array_equal(sig, np.append(build_base_schedule(1000, 2.0), 0.0))
+        assert np.array_equal(sig, np.append(build_base_schedule(2.0), 0.0))
 
 
 class TestSamplerProperties:
@@ -170,7 +164,7 @@ class TestSamplerProperties:
     @settings(max_examples=300, deadline=None)
     @given(shift=st.floats(1e-300, 10.0), n=st.integers(1, T))
     def test_improved_steps_equal_in_unshifted_t(self, shift, n):
-        sig = sample_improved(n, shift, T)
+        sig = sample_improved(n, shift)
         raw = sig / (shift * (1.0 - sig) + sig)  # shift_sigma inverted
         # unshifted sigmas are 1 - i/T for indices i; rounding each index
         # to an integer moves a step by less than one index from T/n
@@ -237,7 +231,7 @@ class TestTypeInvariants:
     def base_from(monkeypatch, sigmas):
         monkeypatch.setattr(sched, "shift_sigma",
                             lambda raw, shift: np.asarray(sigmas, dtype=float))
-        return build_base_schedule(len(sigmas), 1.0)
+        return build_base_schedule(1.0)
 
     def test_schedule_rejects_bad_first_element(self, monkeypatch):
         with pytest.raises(ValueError, match="start at sigma = 1.0"):

@@ -25,6 +25,9 @@ Verdicts, per workload and metric, with the bound from BENCHMARK.json:
   (relative to its median), unless every change run is better than every
   base run;
 - within bound: otherwise.
+
+It exits 1 when any verdict is a regression or the change failed more
+checks than the base, so its exit code is the no-regression rule.
 """
 
 from __future__ import annotations
@@ -174,14 +177,19 @@ def main(argv=None):
                     pair[side]["metrics"]), file=sys.stderr, flush=True)
                 Path(args.out).write_text(json.dumps(
                     summarize(args, bench, runs), indent=1) + "\n")
+    worse = False
     for workload, report in summarize(args, bench, runs)["workloads"].items():
         for name, m in report["metrics"].items():
             print(f"{workload} {name}: {m['base']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']} "
                   f"({m['median_change']:+.1%}, wins {m['wins']}/"
                   f"{report['pairs']}) {m['verdict']}")
-        print(f"{workload} digests equal: {report['digests_equal']}")
-    return 0
+            worse |= m["verdict"] == "regression"
+        failed = report["failed_checks"]
+        print(f"{workload} digests equal: {report['digests_equal']}, "
+              f"failed checks: {failed['base']} -> {failed['change']}")
+        worse |= failed["change"] > failed["base"]
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
