@@ -9,6 +9,12 @@ matches the discriminator's intermediate features between the two
 trajectories. Generator gradients are backpropagated through the
 student's own few-step rollout. `train_adversarial` is one step function,
 discriminator step then student gradients, for `flow.fit`.
+
+The real states come from the teacher alone, so they are solved in the
+blocks `distill` builds its pairs in, for the same reasons and with the
+same bits: each iteration draws its noise, then its stage, and one
+`trajectory_states` call solves the block's rows, each row down to its own
+sampled boundary only.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import StageGrid, distill_grads, rollout, sample_training_batch
+from .distill import (StageGrid, block_iterations, distill_grads, rollout,
+                      rollout_rows, training_batches)
 from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
                    field_features, fit)
 from .netcore import (MlpParams, MlpSpec, adam_step, backward, forward,
@@ -72,12 +79,17 @@ def init_discriminator(seed: int) -> MlpParams:
 
 
 def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
-                      to_k: int = 0) -> list:
-    """Solve from shared eps down to boundary t_{to_k}; the states at every
-    stage boundary t_{K-1} .. t_{to_k} below the noise end. The adversarial
-    objective's real states are the teacher's, solved with many sub-steps."""
-    states = rollout(field, grid, eps, grid.n_stages, to_k, substeps_per_stage)
-    return states[1:]
+                      to_k=0) -> np.ndarray:
+    """Solve from eps down to boundary t_{to_k}; the states at every stage
+    boundary t_{K-1} .. t_{min to_k} below the noise end, (K - min to_k, n,
+    2). to_k is one boundary or one per row; a row is solved down to its
+    own boundary only (distill.rollout_rows) and reads NaN below it. The
+    adversarial objective's real states are the teacher's, solved with many
+    sub-steps."""
+    to_k = np.broadcast_to(to_k, len(eps))
+    states = rollout_rows(field, grid, eps, grid.n_stages, to_k,
+                          substeps_per_stage)
+    return states[to_k.min():grid.n_stages][::-1]
 
 
 def disc_loss(real_scores, fake_scores, kind: str):
@@ -113,6 +125,26 @@ def fm_loss(teacher_features, student_features):
 def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
     """Categorical stage draw; index 1 is the highest-noise stage."""
     return int(rng.choice(len(cfg.timestep_probs), p=cfg.timestep_probs)) + 1
+
+
+def _real_batches(teacher, grid: StageGrid, adv_cfg: AdvConfig, batch: int,
+                  rng: np.random.Generator, iterations: int):
+    """Generator of each of `iterations` adversarial iterations' (noise,
+    sampled boundary to_k, teacher states at t_{to_k}) in turn, one block
+    (block_iterations) per trajectory_states call."""
+    K = grid.n_stages
+    while iterations > 0:
+        eps, to_k = [], []
+        for _ in range(block_iterations(teacher, batch, iterations)):
+            eps.append(rng.standard_normal((batch, 2)))
+            to_k.append(K - sample_timestep(adv_cfg, rng))
+        rows = np.repeat(to_k, batch)
+        states = trajectory_states(teacher, grid, np.concatenate(eps),
+                                   grid.teacher_substeps_per_stage, rows)
+        real = states[K - 1 - rows, np.arange(len(rows))]
+        iterations -= len(eps)
+        for i in range(len(eps)):
+            yield eps[i], to_k[i], real[i * batch:(i + 1) * batch]
 
 
 def _generator_grads(params, grid, tapes, disc, xr, xf, adv_cfg: AdvConfig):
@@ -160,19 +192,14 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
     disc = init_discriminator(seed=cfg.seed + 1)
     disc_state = init_adam(disc, lr=cfg.learning_rate)
 
-    def step(params, rng_pairs):
+    def step(params, pairs, reals):
         nonlocal disc, disc_state
-        l_dist, grads = distill_grads(params, *sample_training_batch(
-            teacher, data, "ota", grid, cfg.batch_size, rng_pairs))
+        l_dist, grads = distill_grads(params, *next(pairs))
         if not adversarial:
             return (l_dist, 0.0, 0.0, 0.0), grads
 
-        eps = rng_adv.standard_normal((cfg.batch_size, 2))
-        stage = sample_timestep(adv_cfg, rng_adv)
-        to_k = grid.n_stages - stage
+        eps, to_k, real = next(reals)
         sigma = grid.t(to_k)
-        real = trajectory_states(teacher, grid, eps,
-                                 grid.teacher_substeps_per_stage, to_k)[-1]
         # the student as LearnedField evaluates it, one tape per stage for
         # the generator's pullback
         tapes = []
@@ -197,4 +224,13 @@ def train_adversarial(teacher, data: MixtureSpec, grid: StageGrid,
         grads.flat += gen_grads.flat
         return (l_dist, l_adv, l_fm, d_loss), grads
 
-    return fit(step, cfg, history)
+    def make_step(rng_pairs):
+        # generators: a block is drawn when its first iteration asks, so
+        # with both lambdas at zero rng_adv is never drawn
+        pairs = training_batches(teacher, data, "ota", grid, cfg.batch_size,
+                                 rng_pairs, cfg.iterations)
+        reals = _real_batches(teacher, grid, adv_cfg, cfg.batch_size, rng_adv,
+                              cfg.iterations)
+        return lambda params: step(params, pairs, reals)
+
+    return fit(make_step, cfg, history)

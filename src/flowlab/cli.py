@@ -412,7 +412,7 @@ def reproduce_tables(printer=print) -> dict:
 def compare_schedulers(config: ExperimentConfig, steps=COMPARE_STEPS,
                        n_points: int = COMPARE_POINTS) -> dict:
     """W2-to-data for N-step inference under every sigma sampler, from
-    identical noise per seed."""
+    identical noise per seed; the seeds run through map_seeds."""
     if not 1 <= n_points <= W2_MAX_POINTS:
         raise ConfigError(f"n_points must be in [1, {W2_MAX_POINTS}], got {n_points}")
     # a step count that fails at shift 1 is the steps' fault; any other
@@ -425,17 +425,20 @@ def compare_schedulers(config: ExperimentConfig, steps=COMPARE_STEPS,
                      for name in SAMPLERS} for n in steps}
     field_ = config.teacher_field()
     data_spec = config.mixture()
-    report = {"shift": config.shift, "steps": {}}
-    for n_steps, sigmas in grids.items():
-        rows = {name: [] for name in sigmas}
-        for seed in config.seeds:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C]))
-            eps = rng.standard_normal((n_points, 2))
-            data = sample_mixture(data_spec, n_points, rng)
-            for name, sig in sigmas.items():
-                rows[name].append(w2_exact_small(data, solve_on_grid(field_, eps, sig)))
-        report["steps"][str(n_steps)] = rows
-    return report
+
+    def seed_row(seed):
+        # every step count and sampler starts from this seed's one draw
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C]))
+        eps = rng.standard_normal((n_points, 2))
+        data = sample_mixture(data_spec, n_points, rng)
+        return {n: {name: w2_exact_small(data, solve_on_grid(field_, eps, sig))
+                    for name, sig in sigmas.items()}
+                for n, sigmas in grids.items()}
+
+    per_seed = map_seeds(seed_row, config.seeds)
+    return {"shift": config.shift, "steps": {
+        str(n): {name: [row[n][name] for row in per_seed] for name in sigmas}
+        for n, sigmas in grids.items()}}
 
 
 def compare_methods(config: ExperimentConfig) -> dict:

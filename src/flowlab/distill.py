@@ -3,13 +3,26 @@
 `default_grid` builds every sigma grid in the package as a `StageGrid`.
 `rollout` solves a field stage by stage between two boundaries of a grid;
 OTA starts, the adversarial trajectories, few-step inference and the
-diagnostics all use it. `sample_training_batch` is the one pair builder.
+diagnostics all use it, and `rollout_rows` is its form with one pair of
+boundaries per row. `sample_training_batch` is the one pair builder.
 It makes the start state z_{t_k} of a stage in one of two ways:
   * perflow: linear interpolation of data and noise (off-trajectory);
   * ota: solve the teacher's ODE from noise down to t_k (on-trajectory).
 Both then evolve the teacher over the stage and regress the student onto
 the stage's constant velocity. `train_student` is one `distill_grads` step
 on such a batch, run by `flow.fit`, the package's one training loop.
+
+The teacher's work never depends on the student, so the pairs of a block
+of iterations are built at once: each iteration draws its values in its
+own order, then one `rollout_rows` solves the teacher for all the block's
+rows, stage by stage, each row through only the stages it needs, and
+`training_batches` hands the block out one iteration at a time. Only an
+`AnalyticField` is stacked (`block_iterations`). Its rows are independent
+and an Euler step is elementwise, so every row gets the bits it gets when
+its iteration is solved alone; a GEMM's bits can change with the row
+count, so a learned or wrapped teacher is solved one iteration at a time.
+A block holds at most `BLOCK_ROWS` rows (or one iteration), whose states
+take a few hundred KB.
 """
 
 from __future__ import annotations
@@ -18,10 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (LearnedField, MixtureSpec, TrainConfig, field_features,
-                   fit, interpolate, ode_solve, sample_mixture)
+from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
+                   field_features, fit, interpolate, ode_solve, sample_mixture)
 from .netcore import TrainingError, backward, forward
 from .sched import SAMPLERS
+
+# rows of teacher work one stacked solve may take; a block is
+# max(1, BLOCK_ROWS // batch) iterations
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,28 +94,90 @@ def rollout(field, grid: StageGrid, z, from_k: int, to_k: int,
     return states
 
 
+def rollout_rows(field, grid: StageGrid, z, from_k, to_k,
+                 substeps: int) -> np.ndarray:
+    """`rollout` with boundaries per row: row i is solved from t_{from_k[i]}
+    down to t_{to_k[i]} (an int applies to every row). Each stage is one
+    `substeps`-step ode_solve over just the rows that cross it, so under a
+    row-independent field every row gets the bits of a `rollout` of its
+    own. Returns states (K + 1, n, 2): states[j, i] is row i at t_j for
+    to_k[i] <= j <= from_k[i], NaN elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    n = len(z)
+    from_k, to_k = np.broadcast_to(from_k, n), np.broadcast_to(to_k, n)
+    bad = (to_k < 0) | (to_k > from_k) | (from_k > grid.n_stages)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise ValueError(f"need 0 <= to_k <= from_k <= {grid.n_stages}, "
+                         f"got {from_k[i]} -> {to_k[i]}")
+    states = np.full((grid.n_stages + 1,) + z.shape, np.nan)
+    states[from_k, np.arange(n)] = z
+    for j in range(from_k.max(initial=0), to_k.min(initial=0), -1):
+        rows = np.flatnonzero((to_k < j) & (j <= from_k))
+        if len(rows):
+            states[j - 1, rows] = ode_solve(field, states[j, rows], grid.t(j),
+                                            grid.t(j - 1), substeps)
+    return states
+
+
+def block_iterations(teacher, batch: int, iterations: int) -> int:
+    """How many of the next `iterations` iterations share one teacher solve:
+    up to BLOCK_ROWS rows for an AnalyticField, else one (see the module
+    docstring)."""
+    rows = BLOCK_ROWS if type(teacher) is AnalyticField else 0
+    return min(iterations, max(1, rows // max(batch, 1)))
+
+
 def sample_training_batch(teacher, data: MixtureSpec, method: str,
                           grid: StageGrid, batch: int,
-                          rng: np.random.Generator):
-    """Fresh online batch for one iteration: one stage draw, per-sample
-    interior times. Returns (z_t, t, v_target)."""
-    k = int(rng.integers(1, grid.n_stages + 1))
-    if method == "perflow":
-        z0 = sample_mixture(data, batch, rng)
-        eps = rng.standard_normal((batch, 2))
-        start = interpolate(z0, eps, grid.t(k))
-    elif method == "ota":
-        eps = rng.standard_normal((batch, 2))
-        start = rollout(teacher, grid, eps, grid.n_stages, k,
-                        grid.teacher_substeps_per_stage)[-1]
-    else:
+                          rng: np.random.Generator, iterations: int = 1):
+    """Fresh online batches for the first block (block_iterations) of the
+    `iterations` iterations still to train. Each iteration draws its stage
+    k, its noise (after its data, for perflow) and its per-sample interior
+    times, in that order; then one rollout_rows solves the teacher for the
+    whole block. Returns (z_t, t, v_target), the block's batches stacked in
+    iteration order, `batch` rows each."""
+    if method not in ("perflow", "ota"):
         raise ValueError(f"unknown method {method!r}")
-    t_hi, t_lo = grid.t(k), grid.t(k - 1)
-    end = ode_solve(teacher, start, t_hi, t_lo, grid.teacher_substeps_per_stage)
-    v_target = (end - start) / (t_lo - t_hi)
-    t = rng.uniform(t_lo, t_hi, batch)
+    K = grid.n_stages
+    ks, starts, ts = [], [], []
+    for _ in range(block_iterations(teacher, batch, iterations)):
+        k = int(rng.integers(1, K + 1))
+        if method == "perflow":
+            z0 = sample_mixture(data, batch, rng)
+            starts.append(interpolate(z0, rng.standard_normal((batch, 2)),
+                                      grid.t(k)))
+        else:
+            starts.append(rng.standard_normal((batch, 2)))
+        ks.append(k)
+        ts.append(rng.uniform(grid.t(k - 1), grid.t(k), batch))
+    k = np.repeat(ks, batch)
+    states = rollout_rows(teacher, grid, np.concatenate(starts),
+                          k if method == "perflow" else K, k - 1,
+                          grid.teacher_substeps_per_stage)
+    rows = np.arange(len(k))
+    start, end = states[k, rows], states[k - 1, rows]
+    t_hi, t_lo = grid.boundaries[K - k], grid.boundaries[K - k + 1]
+    t = np.concatenate(ts)
+    v_target = (end - start) / (t_lo - t_hi)[:, None]
     z_t = start + ((t - t_hi) / (t_lo - t_hi))[:, None] * (end - start)
     return z_t, t, v_target
+
+
+def training_batches(teacher, data: MixtureSpec, method: str,
+                     grid: StageGrid, batch: int, rng: np.random.Generator,
+                     iterations: int):
+    """Generator of the (z_t, t, v_target) of each of `iterations`
+    iterations in turn; a block's sample_training_batch call runs when its
+    first iteration asks, so nothing is drawn past the last iteration."""
+    while iterations > 0:
+        z_t, t, v_target = sample_training_batch(teacher, data, method, grid,
+                                                 batch, rng, iterations)
+        n = block_iterations(teacher, batch, iterations)
+        iterations -= n
+        for i in range(n):
+            rows = slice(i * batch, (i + 1) * batch)
+            yield z_t[rows], t[rows], v_target[rows]
 
 
 def distill_grads(params, z_t, t, v_target):
@@ -118,11 +197,12 @@ def train_student(teacher, data: MixtureSpec, method: str, grid: StageGrid,
     if method not in ("perflow", "ota"):
         raise ValueError(f"unknown method {method!r}")
 
-    def step(params, rng):
-        return distill_grads(params, *sample_training_batch(
-            teacher, data, method, grid, cfg.batch_size, rng))
+    def make_step(rng):
+        batches = training_batches(teacher, data, method, grid,
+                                   cfg.batch_size, rng, cfg.iterations)
+        return lambda params: distill_grads(params, *next(batches))
 
-    return fit(step, cfg, history)
+    return fit(make_step, cfg, history)
 
 
 def infer_few_step(student, grid: StageGrid, eps) -> np.ndarray:

@@ -7,7 +7,7 @@ posterior mean computed in closed form per component. Time convention is
 sigma(t) = t on [0, 1]. `solve_on_grid` is the package's one Euler loop;
 `ode_solve` is its equal-step wrapper, and the stage-level rollout in
 `distill` is built on it. `fit` is the package's one training loop; every
-trainer is a step function that it runs.
+trainer turns fit's rng into a step function that it runs.
 """
 
 from __future__ import annotations
@@ -184,19 +184,20 @@ class TrainConfig:
     seed: int = 0
 
 
-def fit(step, cfg: TrainConfig, history: list = None) -> LearnedField:
+def fit(make_step, cfg: TrainConfig, history: list = None) -> LearnedField:
     """The one training loop: Adam on the one student net (DEFAULT_WIDTHS,
-    silu, seeded with cfg.seed), one rng seeded with cfg.seed, and per
-    iteration step(params, rng) -> (loss row, grads). A non-finite row raises
+    silu, seeded with cfg.seed), one rng seeded with cfg.seed that
+    make_step(rng) turns into the trainer's step, and per iteration
+    step(params) -> (loss row, grads). A non-finite row raises
     TrainingError("loss diverged at iteration {it}"); else history gets it.
     A TrainingError from step or Adam is re-raised with " at iteration {it}"
     appended."""
     params = init_params(MlpSpec(DEFAULT_WIDTHS, cfg.seed))
     state = init_adam(params, lr=cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
+    step = make_step(np.random.default_rng(cfg.seed))
     for it in range(cfg.iterations):
         try:
-            row, grads = step(params, rng)
+            row, grads = step(params)
             if not np.all(np.isfinite(row)):
                 raise TrainingError("loss diverged")
             if history is not None:
@@ -225,4 +226,4 @@ def train_flow_matching(spec: MixtureSpec, cfg: TrainConfig = TrainConfig(),
         grads, _ = backward(params, tapes[0], 2.0 * resid / cfg.batch_size)
         return loss, grads
 
-    return fit(step, cfg, history)
+    return fit(lambda rng: lambda params: step(params, rng), cfg, history)

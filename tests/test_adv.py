@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import flowlab.adv
+import flowlab.distill
 from flowlab.adv import (GAN_LOSSES, AdvConfig, _generator_grads, disc_loss,
                          fm_loss, init_discriminator, sample_timestep,
                          train_adversarial, trajectory_states)
@@ -263,7 +263,8 @@ def test_teacher_solved_only_down_to_sampled_boundary(stage, monkeypatch):
         in_pairs.append(teacher.calls - before)
         return out
 
-    monkeypatch.setattr(flowlab.adv, "sample_training_batch", counted_batch)
+    # the pairs reach train_adversarial through distill.training_batches
+    monkeypatch.setattr(flowlab.distill, "sample_training_batch", counted_batch)
     grid = default_grid(4, teacher_substeps_per_stage=8)
     probs = tuple(float(s == stage) for s in range(1, 5))
     train_adversarial(teacher, default_benchmark(), grid,

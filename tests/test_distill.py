@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowlab.adv import train_adversarial
+import flowlab.distill
+from flowlab.adv import AdvConfig, _real_batches, sample_timestep, train_adversarial
 from flowlab.distill import (StageGrid, default_grid, distill_grads,
                              infer_few_step, rollout, sample_training_batch,
-                             train_student)
+                             train_student, training_batches)
 from flowlab.flow import (SIGMA_FLOOR, AnalyticField, LearnedField,
-                          TrainConfig, default_benchmark, field_features,
-                          interpolate, ode_solve, point_mass, sample_mixture,
-                          train_flow_matching)
+                          MixtureSpec, TrainConfig, default_benchmark,
+                          field_features, interpolate, ode_solve, point_mass,
+                          sample_mixture, train_flow_matching)
+from flowlab.sched import SAMPLERS
 from flowlab.netcore import MlpSpec, TrainingError, forward, init_params
 
 
@@ -262,6 +267,99 @@ class TestSampleTrainingBatch:
             sample_training_batch(teacher, default_benchmark(), "reflow",
                                   default_grid(4), 8,
                                   np.random.default_rng(0))
+
+
+def reference_pairs(teacher, spec, method, grid, batch, rng, iterations):
+    """The pairs of each iteration built alone, in the pair stream's draw
+    order (k, the noise after the data for perflow, the interior times),
+    with starts from interpolate or rollout and stage ends from rollout."""
+    K, substeps = grid.n_stages, grid.teacher_substeps_per_stage
+    out = []
+    for _ in range(iterations):
+        k = int(rng.integers(1, K + 1))
+        t_hi, t_lo = grid.t(k), grid.t(k - 1)
+        if method == "perflow":
+            z0 = sample_mixture(spec, batch, rng)
+            start = interpolate(z0, rng.standard_normal((batch, 2)), t_hi)
+        else:
+            start = rollout(teacher, grid, rng.standard_normal((batch, 2)),
+                            K, k, substeps)[-1]
+        end = rollout(teacher, grid, start, k, k - 1, substeps)[-1]
+        t = rng.uniform(t_lo, t_hi, batch)
+        z_t = start + ((t - t_hi) / (t_lo - t_hi))[:, None] * (end - start)
+        out.append((z_t, t, (end - start) / (t_lo - t_hi)))
+    return out
+
+
+def reference_reals(teacher, grid, adv_cfg, batch, rng, iterations):
+    """Each adversarial iteration's noise, boundary and real states alone:
+    noise, then stage, then the teacher solved down to that boundary."""
+    out = []
+    for _ in range(iterations):
+        eps = rng.standard_normal((batch, 2))
+        to_k = grid.n_stages - sample_timestep(adv_cfg, rng)
+        out.append((eps, to_k, rollout(teacher, grid, eps, grid.n_stages, to_k,
+                                       grid.teacher_substeps_per_stage)[-1]))
+    return out
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+            assert np.asarray(x).dtype == np.asarray(y).dtype
+
+
+class TestStackedStream:
+    """A block of iterations solved in one stacked teacher call hands out,
+    iteration by iteration, the bits that each iteration built alone gives,
+    and leaves each rng where the per-iteration draws leave it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(["perflow", "ota", "ota+adv"]),
+           stages=st.integers(1, 6), shift=st.floats(0.2, 5.0),
+           sampler=st.sampled_from(sorted(SAMPLERS)),
+           substeps=st.integers(1, 9), batch=st.integers(1, 300),
+           iterations=st.integers(0, 40), components=st.integers(1, 9),
+           block_rows=st.one_of(st.just(flowlab.distill.BLOCK_ROWS),
+                                st.integers(1, 900)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_iteration_reference(self, method, stages, shift,
+                                             sampler, substeps, batch,
+                                             iterations, components,
+                                             block_rows, seed):
+        # a block_rows below the batch makes blocks of one iteration; small
+        # ones make blocks that do not divide the iteration count
+        draw = np.random.default_rng(seed)
+        weights = draw.dirichlet(np.ones(components))
+        spec = MixtureSpec(weights / weights.sum(),
+                           3.0 * draw.standard_normal((components, 2)),
+                           draw.uniform(0.0, 1.0, components))
+        teacher = AnalyticField(spec)
+        grid = default_grid(stages, shift, substeps, sampler)
+        pair_method = "ota" if method == "ota+adv" else method
+        with mock.patch.object(flowlab.distill, "BLOCK_ROWS", block_rows):
+            rng = np.random.default_rng(seed)
+            got = list(training_batches(teacher, spec, pair_method, grid, batch,
+                                        rng, iterations))
+            ref_rng = np.random.default_rng(seed)
+            want = reference_pairs(teacher, spec, pair_method, grid, batch,
+                                   ref_rng, iterations)
+            assert_same_bits(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if method != "ota+adv":
+                return
+            probs = draw.dirichlet(np.ones(stages))
+            adv_cfg = AdvConfig(timestep_probs=tuple(probs / probs.sum()))
+            rng = np.random.default_rng(seed + 1)
+            got = list(_real_batches(teacher, grid, adv_cfg, batch, rng,
+                                     iterations))
+            ref_rng = np.random.default_rng(seed + 1)
+            want = reference_reals(teacher, grid, adv_cfg, batch, ref_rng,
+                                   iterations)
+            assert_same_bits(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDistillGrads:
