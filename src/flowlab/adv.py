@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import (StageGrid, block_iterations, distill_grads, rollout,
+from .distill import (StageGrid, distill_grads, in_blocks, rollout,
                       rollout_rows, training_batches)
 from .flow import (LearnedField, MixtureSpec, TrainConfig, DEFAULT_WIDTHS,
                    field_features, fit)
@@ -130,21 +130,22 @@ def sample_timestep(cfg: AdvConfig, rng: np.random.Generator) -> int:
 def _real_batches(teacher, grid: StageGrid, adv_cfg: AdvConfig, batch: int,
                   rng: np.random.Generator, iterations: int):
     """Generator of each of `iterations` adversarial iterations' (noise,
-    sampled boundary to_k, teacher states at t_{to_k}) in turn, one block
-    (block_iterations) per trajectory_states call."""
+    sampled boundary to_k, teacher states at t_{to_k}) in turn, one
+    trajectory_states call per block (distill.in_blocks)."""
     K = grid.n_stages
-    while iterations > 0:
+
+    def solve_block(n):
         eps, to_k = [], []
-        for _ in range(block_iterations(teacher, batch, iterations)):
+        for _ in range(n):
             eps.append(rng.standard_normal((batch, 2)))
             to_k.append(K - sample_timestep(adv_cfg, rng))
         rows = np.repeat(to_k, batch)
         states = trajectory_states(teacher, grid, np.concatenate(eps),
                                    grid.teacher_substeps_per_stage, rows)
         real = states[K - 1 - rows, np.arange(len(rows))]
-        iterations -= len(eps)
-        for i in range(len(eps)):
-            yield eps[i], to_k[i], real[i * batch:(i + 1) * batch]
+        return zip(eps, to_k, np.split(real, n))
+
+    return in_blocks(teacher, batch, iterations, solve_block)
 
 
 def _generator_grads(params, grid, tapes, disc, xr, xf, adv_cfg: AdvConfig):

@@ -1,10 +1,10 @@
 """Stage grids, the stage rollout, training pairs, student training, inference.
 
 `default_grid` builds every sigma grid in the package as a `StageGrid`.
-`rollout` solves a field stage by stage between two boundaries of a grid;
+`rollout_rows` solves a field stage by stage between two boundaries of a
+grid, one pair of boundaries per row; `rollout` is its view for one pair.
 OTA starts, the adversarial trajectories, few-step inference and the
-diagnostics all use it, and `rollout_rows` is its form with one pair of
-boundaries per row. `sample_training_batch` is the one pair builder.
+diagnostics all use them. `sample_training_batch` is the one pair builder.
 It makes the start state z_{t_k} of a stage in one of two ways:
   * perflow: linear interpolation of data and noise (off-trajectory);
   * ota: solve the teacher's ODE from noise down to t_k (on-trajectory).
@@ -16,13 +16,13 @@ The teacher's work never depends on the student, so the pairs of a block
 of iterations are built at once: each iteration draws its values in its
 own order, then one `rollout_rows` solves the teacher for all the block's
 rows, stage by stage, each row through only the stages it needs, and
-`training_batches` hands the block out one iteration at a time. Only an
-`AnalyticField` is stacked (`block_iterations`). Its rows are independent
-and an Euler step is elementwise, so every row gets the bits it gets when
-its iteration is solved alone; a GEMM's bits can change with the row
-count, so a learned or wrapped teacher is solved one iteration at a time.
-A block holds at most `BLOCK_ROWS` rows (or one iteration), whose states
-take a few hundred KB.
+`training_batches` hands the block out one iteration at a time through
+`in_blocks`, the block loop `adv` shares. Only an `AnalyticField` is
+stacked. Its rows are independent and an Euler step is elementwise, so
+every row gets the bits it gets when its iteration is solved alone; a
+GEMM's bits can change with the row count, so a learned or wrapped
+teacher is solved one iteration at a time. A block holds at most
+`BLOCK_ROWS` rows (or one iteration), whose states take a few hundred KB.
 """
 
 from __future__ import annotations
@@ -82,66 +82,70 @@ def rollout(field, grid: StageGrid, z, from_k: int, to_k: int,
             substeps: int) -> list:
     """Solve from boundary t_{from_k} down to t_{to_k}, one `substeps`-step
     ode_solve per stage; returns the states at t_{from_k}, ..., t_{to_k},
-    the start included. Solving stage by stage on each stage's own sub-grid
-    keeps every partial rollout a bitwise prefix of the full one."""
-    if not 0 <= to_k <= from_k <= grid.n_stages:
-        raise ValueError(f"need 0 <= to_k <= from_k <= {grid.n_stages}, "
-                         f"got {from_k} -> {to_k}")
-    states = [np.asarray(z, dtype=np.float64)]
-    for k in range(from_k, to_k, -1):
-        states.append(ode_solve(field, states[-1], grid.t(k), grid.t(k - 1),
-                                substeps))
-    return states
+    the start included (views of `rollout_rows`' table). Solving stage by
+    stage on each stage's own sub-grid keeps every partial rollout a bitwise
+    prefix of the full one."""
+    states = rollout_rows(field, grid, z, from_k, to_k, substeps)
+    return list(states[to_k:from_k + 1][::-1])
 
 
 def rollout_rows(field, grid: StageGrid, z, from_k, to_k,
                  substeps: int) -> np.ndarray:
-    """`rollout` with boundaries per row: row i is solved from t_{from_k[i]}
-    down to t_{to_k[i]} (an int applies to every row). Each stage is one
-    `substeps`-step ode_solve over just the rows that cross it, so under a
-    row-independent field every row gets the bits of a `rollout` of its
-    own. Returns states (K + 1, n, 2): states[j, i] is row i at t_j for
-    to_k[i] <= j <= from_k[i], NaN elsewhere."""
+    """The stage rollout with boundaries per row: row i is solved from
+    t_{from_k[i]} down to t_{to_k[i]} (an int applies to every row). Each
+    stage is one `substeps`-step ode_solve over just the rows that cross it
+    (a view when every row does), so under a row-independent field every
+    row gets the bits of a rollout of its own. Returns states (K + 1, n,
+    2): states[j, i] is row i at t_j for to_k[i] <= j <= from_k[i], NaN
+    elsewhere."""
     z = np.asarray(z, dtype=np.float64)
-    n = len(z)
-    from_k, to_k = np.broadcast_to(from_k, n), np.broadcast_to(to_k, n)
+    from_k, to_k = np.broadcast_arrays(from_k, to_k)
     bad = (to_k < 0) | (to_k > from_k) | (from_k > grid.n_stages)
     if np.any(bad):
         i = np.argmax(bad)
         raise ValueError(f"need 0 <= to_k <= from_k <= {grid.n_stages}, "
-                         f"got {from_k[i]} -> {to_k[i]}")
+                         f"got {from_k.flat[i]} -> {to_k.flat[i]}")
+    n = len(z)
+    from_k, to_k = np.broadcast_to(from_k, n), np.broadcast_to(to_k, n)
     states = np.full((grid.n_stages + 1,) + z.shape, np.nan)
     states[from_k, np.arange(n)] = z
     for j in range(from_k.max(initial=0), to_k.min(initial=0), -1):
         rows = np.flatnonzero((to_k < j) & (j <= from_k))
         if len(rows):
+            rows = slice(None) if len(rows) == n else rows
             states[j - 1, rows] = ode_solve(field, states[j, rows], grid.t(j),
                                             grid.t(j - 1), substeps)
     return states
 
 
-def block_iterations(teacher, batch: int, iterations: int) -> int:
-    """How many of the next `iterations` iterations share one teacher solve:
-    up to BLOCK_ROWS rows for an AnalyticField, else one (see the module
-    docstring)."""
+def in_blocks(teacher, batch: int, iterations: int, solve_block):
+    """Generator of one item per iteration for `iterations` iterations, from
+    blocks: solve_block(n) draws the next n iterations in order, solves the
+    teacher for all of them at once and returns their n items. A block is
+    up to BLOCK_ROWS rows for an AnalyticField, else one iteration (see the
+    module docstring); it is solved when its first iteration asks, so
+    nothing is drawn past the last iteration."""
     rows = BLOCK_ROWS if type(teacher) is AnalyticField else 0
-    return min(iterations, max(1, rows // max(batch, 1)))
+    size = max(1, rows // max(batch, 1))
+    while iterations > 0:
+        n = min(iterations, size)
+        yield from solve_block(n)
+        iterations -= n
 
 
 def sample_training_batch(teacher, data: MixtureSpec, method: str,
                           grid: StageGrid, batch: int,
-                          rng: np.random.Generator, iterations: int = 1):
-    """Fresh online batches for the first block (block_iterations) of the
-    `iterations` iterations still to train. Each iteration draws its stage
-    k, its noise (after its data, for perflow) and its per-sample interior
-    times, in that order; then one rollout_rows solves the teacher for the
-    whole block. Returns (z_t, t, v_target), the block's batches stacked in
-    iteration order, `batch` rows each."""
+                          rng: np.random.Generator, iterations: int):
+    """Fresh online batches for a block of `iterations` iterations. Each
+    iteration draws its stage k, its noise (after its data, for perflow)
+    and its per-sample interior times, in that order; then one rollout_rows
+    solves the teacher for the whole block. Returns (z_t, t, v_target), the
+    block's batches stacked in iteration order, `batch` rows each."""
     if method not in ("perflow", "ota"):
         raise ValueError(f"unknown method {method!r}")
     K = grid.n_stages
     ks, starts, ts = [], [], []
-    for _ in range(block_iterations(teacher, batch, iterations)):
+    for _ in range(iterations):
         k = int(rng.integers(1, K + 1))
         if method == "perflow":
             z0 = sample_mixture(data, batch, rng)
@@ -168,16 +172,13 @@ def training_batches(teacher, data: MixtureSpec, method: str,
                      grid: StageGrid, batch: int, rng: np.random.Generator,
                      iterations: int):
     """Generator of the (z_t, t, v_target) of each of `iterations`
-    iterations in turn; a block's sample_training_batch call runs when its
-    first iteration asks, so nothing is drawn past the last iteration."""
-    while iterations > 0:
-        z_t, t, v_target = sample_training_batch(teacher, data, method, grid,
-                                                 batch, rng, iterations)
-        n = block_iterations(teacher, batch, iterations)
-        iterations -= n
-        for i in range(n):
-            rows = slice(i * batch, (i + 1) * batch)
-            yield z_t[rows], t[rows], v_target[rows]
+    iterations in turn, one sample_training_batch call per block."""
+    def solve_block(n):
+        block = sample_training_batch(teacher, data, method, grid, batch, rng,
+                                      n)
+        return zip(*(np.split(a, n) for a in block))
+
+    return in_blocks(teacher, batch, iterations, solve_block)
 
 
 def distill_grads(params, z_t, t, v_target):

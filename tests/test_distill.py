@@ -61,7 +61,7 @@ def replay_batch(method, seed, grid, batch=8):
     interpolate (perflow starts) and rollout (ota starts, stage ends)."""
     teacher, spec = AnalyticField(default_benchmark()), default_benchmark()
     z_t, t, v = sample_training_batch(teacher, spec, method, grid, batch,
-                                      np.random.default_rng(seed))
+                                      np.random.default_rng(seed), 1)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, grid.n_stages + 1))
     substeps = grid.teacher_substeps_per_stage
@@ -257,8 +257,8 @@ class TestSampleTrainingBatch:
         grid = default_grid(4)
         rng = np.random.default_rng(9)
         z_t, t, v = sample_training_batch(teacher, default_benchmark(),
-                                          "perflow", grid, 32, rng)
-        assert z_t.shape == (32, 2) and t.shape == (32,) and v.shape == (32, 2)
+                                          "perflow", grid, 32, rng, 3)
+        assert z_t.shape == (96, 2) and t.shape == (96,) and v.shape == (96, 2)
         assert np.all(np.isfinite(z_t)) and np.all(np.isfinite(v))
 
     def test_unknown_method(self):
@@ -266,14 +266,24 @@ class TestSampleTrainingBatch:
         with pytest.raises(ValueError):
             sample_training_batch(teacher, default_benchmark(), "reflow",
                                   default_grid(4), 8,
-                                  np.random.default_rng(0))
+                                  np.random.default_rng(0), 1)
+
+
+def solve_stages(field, grid, z, from_k, to_k):
+    """The state at t_{to_k}: one ode_solve per stage from t_{from_k}, as a
+    per-iteration solve of its own does it, without rollout_rows."""
+    for k in range(from_k, to_k, -1):
+        z = ode_solve(field, z, grid.t(k), grid.t(k - 1),
+                      grid.teacher_substeps_per_stage)
+    return z
 
 
 def reference_pairs(teacher, spec, method, grid, batch, rng, iterations):
     """The pairs of each iteration built alone, in the pair stream's draw
     order (k, the noise after the data for perflow, the interior times),
-    with starts from interpolate or rollout and stage ends from rollout."""
-    K, substeps = grid.n_stages, grid.teacher_substeps_per_stage
+    with starts from interpolate or solve_stages and stage ends from
+    solve_stages."""
+    K = grid.n_stages
     out = []
     for _ in range(iterations):
         k = int(rng.integers(1, K + 1))
@@ -282,9 +292,9 @@ def reference_pairs(teacher, spec, method, grid, batch, rng, iterations):
             z0 = sample_mixture(spec, batch, rng)
             start = interpolate(z0, rng.standard_normal((batch, 2)), t_hi)
         else:
-            start = rollout(teacher, grid, rng.standard_normal((batch, 2)),
-                            K, k, substeps)[-1]
-        end = rollout(teacher, grid, start, k, k - 1, substeps)[-1]
+            start = solve_stages(teacher, grid,
+                                 rng.standard_normal((batch, 2)), K, k)
+        end = solve_stages(teacher, grid, start, k, k - 1)
         t = rng.uniform(t_lo, t_hi, batch)
         z_t = start + ((t - t_hi) / (t_lo - t_hi))[:, None] * (end - start)
         out.append((z_t, t, (end - start) / (t_lo - t_hi)))
@@ -298,8 +308,8 @@ def reference_reals(teacher, grid, adv_cfg, batch, rng, iterations):
     for _ in range(iterations):
         eps = rng.standard_normal((batch, 2))
         to_k = grid.n_stages - sample_timestep(adv_cfg, rng)
-        out.append((eps, to_k, rollout(teacher, grid, eps, grid.n_stages, to_k,
-                                       grid.teacher_substeps_per_stage)[-1]))
+        out.append((eps, to_k,
+                    solve_stages(teacher, grid, eps, grid.n_stages, to_k)))
     return out
 
 
