@@ -78,18 +78,14 @@ def init_discriminator(seed: int) -> MlpParams:
     return init_params(MlpSpec(DISC_WIDTHS, seed))
 
 
-def trajectory_states(field, grid: StageGrid, eps, substeps_per_stage: int,
-                      to_k=0) -> np.ndarray:
-    """Solve from eps down to boundary t_{to_k}; the states at every stage
-    boundary t_{K-1} .. t_{min to_k} below the noise end, (K - min to_k, n,
-    2). to_k is one boundary or one per row; a row is solved down to its
-    own boundary only (distill.rollout_rows) and reads NaN below it. The
-    adversarial objective's real states are the teacher's, solved with many
-    sub-steps."""
+def trajectory_states(field, grid: StageGrid, eps, to_k) -> np.ndarray:
+    """The adversarial objective's real states: each row of eps solved from
+    the noise end down to its own boundary t_{to_k} (one to_k, or one per
+    row) with the grid's teacher sub-steps (distill.rollout_rows); (n, 2)."""
     to_k = np.broadcast_to(to_k, len(eps))
     states = rollout_rows(field, grid, eps, grid.n_stages, to_k,
-                          substeps_per_stage)
-    return states[to_k.min():grid.n_stages][::-1]
+                          grid.teacher_substeps_per_stage)
+    return states[to_k, np.arange(len(eps))]
 
 
 def disc_loss(real_scores, fake_scores, kind: str):
@@ -132,17 +128,13 @@ def _real_batches(teacher, grid: StageGrid, adv_cfg: AdvConfig, batch: int,
     """Generator of each of `iterations` adversarial iterations' (noise,
     sampled boundary to_k, teacher states at t_{to_k}) in turn, one
     trajectory_states call per block (distill.in_blocks)."""
-    K = grid.n_stages
-
     def solve_block(n):
         eps, to_k = [], []
         for _ in range(n):
             eps.append(rng.standard_normal((batch, 2)))
-            to_k.append(K - sample_timestep(adv_cfg, rng))
-        rows = np.repeat(to_k, batch)
-        states = trajectory_states(teacher, grid, np.concatenate(eps),
-                                   grid.teacher_substeps_per_stage, rows)
-        real = states[K - 1 - rows, np.arange(len(rows))]
+            to_k.append(grid.n_stages - sample_timestep(adv_cfg, rng))
+        real = trajectory_states(teacher, grid, np.concatenate(eps),
+                                 np.repeat(to_k, batch))
         return zip(eps, to_k, np.split(real, n))
 
     return in_blocks(teacher, batch, iterations, solve_block)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .adv import AdvConfig, train_adversarial
-from .diag import (W2_MAX_POINTS, energy_permutation_test,
+from .diag import (W2_MAX_POINTS, check_bounded, energy_permutation_test,
                    expected_velocity_residual, interstage_distance,
                    teacher_trajectory_divergence, w2_exact_small)
 from .distill import StageGrid, default_grid, infer_few_step, train_student
@@ -34,8 +34,6 @@ from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
 from .netcore import TrainingError, load_params, save_params
 from .sched import SAMPLERS, format_sigmas
 
-# evaluation samples stay within this multiple of max |mu| + 5 max s + 1
-SAMPLE_BOUND = 100.0
 COMPARE_STEPS, COMPARE_POINTS = (4, 10, 32), 256  # compare_schedulers defaults
 DIAGNOSE_POINTS = 1024  # samples per divergence and inter-stage probe
 EVAL_PERMUTATIONS = 200  # permutations per energy test of a report
@@ -216,19 +214,15 @@ def _train_one(config: ExperimentConfig, seed: int, history: list):
         student = train_student(teacher, config.mixture(), config.method,
                                 grid, cfg=cfg, history=losses)
         history.extend((l, 0.0, 0.0, 0.0) for l in losses)
-    return teacher, grid, student
+    return grid, student
 
 
-def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
+def _evaluate(config: ExperimentConfig, seed: int, grid, student):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     eps = rng.standard_normal((config.eval_samples, 2))
     samples = infer_few_step(student, grid, eps)
     spec = config.mixture()
-    bound = SAMPLE_BOUND * (np.abs(spec.means).max() + 5 * spec.stds.max() + 1)
-    peak = np.abs(samples).max()
-    if not peak <= bound:
-        raise TrainingError(f"samples reach |x| = {peak:.3g}, beyond {bound:g}"
-                            f" = {SAMPLE_BOUND:g} x (max |mu| + 5 max s + 1)")
+    check_bounded(samples, spec, "samples")
     data = sample_mixture(spec, config.eval_samples, rng)
     stat, p = energy_permutation_test(
         data, samples, n_permutations=EVAL_PERMUTATIONS, seed=seed)
@@ -237,7 +231,7 @@ def _evaluate(config: ExperimentConfig, seed: int, teacher, grid, student):
         "energy_distance": stat,
         "energy_p_value": p,
         "interstage": interstage_distance(
-            teacher, student, grid, n=DIAGNOSE_POINTS, seed=seed, data=spec,
+            student, grid, n=DIAGNOSE_POINTS, seed=seed, data=spec,
             n_permutations=EVAL_PERMUTATIONS),
     }
     return samples, metrics
@@ -343,13 +337,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     def run_seed(seed):
         history = []
         try:
-            teacher, grid, student = _train_one(config, seed, history)
+            grid, student = _train_one(config, seed, history)
             with open(out / f"losses_seed{seed}.csv", "w") as f:
                 f.write("iter,l_dist,l_adv,l_fm,d_loss\n")
                 for it, row in enumerate(history):
                     f.write(f"{it},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n")
             save_params(student.params, out / f"checkpoint_seed{seed}.json")
-            samples, metrics = _evaluate(config, seed, teacher, grid, student)
+            samples, metrics = _evaluate(config, seed, grid, student)
         except TrainingError as exc:
             return {"status": "failed", "error": str(exc)}
         with open(out / f"samples_seed{seed}.txt", "w") as f:
@@ -478,7 +472,7 @@ def diagnose(config: ExperimentConfig, checkpoint: str = None) -> dict:
     }
     if student is not None:
         report["interstage"] = interstage_distance(
-            teacher, student, grid, n=DIAGNOSE_POINTS, seed=seed,
+            student, grid, n=DIAGNOSE_POINTS, seed=seed,
             data=config.mixture(), n_permutations=EVAL_PERMUTATIONS)
     return report
 

@@ -3,9 +3,10 @@
 Covers: exact small-n 2-Wasserstein via optimal assignment, the energy
 distance with a permutation test, divergence between the teacher's
 continuous trajectory and the piecewise re-initialized protocol, the
-inter-stage distribution gap between training-time and inference-time
-stage inputs, and the first-moment check E[v(z_sigma, sigma)] = -mu_data
-on interpolation marginals (sigma(t) = t, so sigma' = 1).
+inter-stage distribution gap between training-time stage inputs (the
+noising-path marginal) and the student's inference-time stage inputs, and
+the first-moment check E[v(z_sigma, sigma)] = -mu_data on interpolation
+marginals (sigma(t) = t, so sigma' = 1).
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from scipy.spatial.distance import cdist
 
 from .distill import StageGrid, rollout
 from .flow import MixtureSpec, SIGMA_FLOOR, interpolate, sample_mixture
+from .netcore import TrainingError
 
 W2_MAX_POINTS = 256
+# a student's samples stay within this multiple of max |mu| + 5 max s + 1
+SAMPLE_BOUND = 100.0
 ENERGY_BLOCK_ELEMENTS = 2 ** 20  # distances per row block (8 MiB in float64)
 
 
@@ -158,17 +162,23 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
     return boundaries, means, ses
 
 
-def interstage_distance(teacher, student, grid: StageGrid, n: int,
-                        data: MixtureSpec, seed: int = 0,
-                        method: str = "perflow", n_permutations: int = 1000):
-    """Distribution gap at each interior boundary between training-time
-    stage inputs (set A) and the student's inference-time stage inputs
-    (set B).
+def check_bounded(points, spec: MixtureSpec, what: str):
+    """TrainingError if a coordinate of points leaves SAMPLE_BOUND x (max
+    |mu| + 5 max s + 1) of spec: a student blown up but still finite."""
+    bound = SAMPLE_BOUND * (np.abs(spec.means).max() + 5 * spec.stds.max() + 1)
+    peak = np.abs(points).max()
+    if not peak <= bound:
+        raise TrainingError(f"{what} reach |x| = {peak:.3g}, beyond {bound:g}"
+                            f" = {SAMPLE_BOUND:g} x (max |mu| + 5 max s + 1)")
 
-    A is built per `method`: perflow-style interpolated points of `data`,
-    or ota-style teacher-trajectory states. Returns a list of dicts with
-    energy distance, permutation p-value, and exact W2 on 256-point
-    subsamples.
+
+def interstage_distance(student, grid: StageGrid, n: int, data: MixtureSpec,
+                        seed: int = 0, n_permutations: int = 1000):
+    """Distribution gap at each interior boundary t_k between training-time
+    stage inputs, the noising-path marginal interpolate(z0, eps, t_k) of
+    `data` (set A), and the student's own previous-stage outputs (set B,
+    which must pass check_bounded). Returns a list of dicts with energy
+    distance, permutation p-value, and exact W2 on 256-point subsamples.
     """
     rng = np.random.default_rng(seed)
     eps_train = rng.standard_normal((n, 2))
@@ -176,24 +186,17 @@ def interstage_distance(teacher, student, grid: StageGrid, n: int,
     eps_infer = rng.standard_normal((n, 2))
 
     K = grid.n_stages
-    if method == "perflow":
-        a_sets = [interpolate(z0, eps_train, grid.t(k))
-                  for k in range(K - 1, 0, -1)]
-    elif method == "ota":
-        a_sets = rollout(teacher, grid, eps_train, K, 1,
-                         grid.teacher_substeps_per_stage)[1:]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # inference-time inputs: student's own previous-stage outputs
+    a_sets = [interpolate(z0, eps_train, grid.t(k))
+              for k in range(K - 1, 0, -1)]
     b_sets = rollout(student, grid, eps_infer, K, 1, 1)[1:]
+    check_bounded(b_sets, data, "student boundary states")
     results = []
     for k, a_set, z in zip(range(K, 1, -1), a_sets, b_sets):
-        t_b = grid.t(k - 1)
         stat, p = energy_permutation_test(a_set, z, n_permutations,
                                           seed=seed + k)
         m = min(W2_MAX_POINTS, n)
         w2 = w2_exact_small(a_set[:m], z[:m])
-        results.append({"boundary": float(t_b), "energy_distance": stat,
+        results.append({"boundary": grid.t(k - 1), "energy_distance": stat,
                         "p_value": p, "w2": w2})
     return results
 

@@ -141,10 +141,13 @@ class AnalyticField:
 
 
 class LearnedField:
-    """MLP-backed velocity field, evaluated at the sigma it is given, as
-    training evaluates the student."""
+    """MLP-backed velocity field of the 5 field features, evaluated at the
+    sigma it is given, as training evaluates the student."""
 
     def __init__(self, params: MlpParams):
+        widths = params.spec.widths
+        if widths[0] != 5 or widths[-1] != 2:
+            raise ValueError(f"need widths (5, ..., 2), got {widths}")
         self.params = params
 
     def __call__(self, z, sigma):

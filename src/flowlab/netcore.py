@@ -73,7 +73,7 @@ class MlpParams:
     @classmethod
     def from_layers(cls, spec: MlpSpec, weights, biases) -> MlpParams:
         """Copy per-layer arrays in; ValueError unless their count and
-        shapes are those of spec.widths."""
+        shapes are those of spec.widths and every entry is finite."""
         params = cls(spec)
         n_layers = len(params.weights)
         if len(weights) != n_layers or len(biases) != n_layers:
@@ -83,6 +83,8 @@ class MlpParams:
             src = np.asarray(src, dtype=np.float64)
             if src.shape != dst.shape:
                 raise ValueError(f"layer shape {src.shape} != {dst.shape}")
+            if not np.all(np.isfinite(src)):
+                raise ValueError("non-finite layer entries")
             dst[...] = src
         return params
 
@@ -209,8 +211,8 @@ def save_params(params: MlpParams, path):
 
 
 def load_params(path) -> MlpParams:
-    """Read a save_params checkpoint; ValueError if it is malformed or
-    names an activation other than silu."""
+    """Read a save_params checkpoint; ValueError if it is malformed (a
+    non-finite entry included) or names an activation other than silu."""
     with open(path) as f:
         payload = json.load(f)
     try:

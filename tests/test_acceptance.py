@@ -211,8 +211,8 @@ def test_criterion_08_ota_beats_perflow():
 
     gap = {}
     for method, student in seed0_students.items():
-        rows = interstage_distance(teacher, student, grid, n=1024, seed=0,
-                                   data=SPEC, n_permutations=200)
+        rows = interstage_distance(student, grid, n=1024, seed=0, data=SPEC,
+                                   n_permutations=200)
         gap[method] = next(r["energy_distance"] for r in rows
                            if abs(r["boundary"] - grid.t(2)) < 1e-12)
     elapsed = time.time() - t0

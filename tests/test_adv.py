@@ -167,26 +167,30 @@ def per_stage_reference(teacher, grid, eps, substeps):
 
 class TestTrajectoryStates:
     def test_records_every_boundary(self):
+        # one call serves rows bound for every boundary t_0 .. t_{K-1}, each
+        # row its own state there
         teacher = AnalyticField(default_benchmark())
         grid = default_grid(4)
         eps = np.random.default_rng(3).standard_normal((8, 2))
-        states = trajectory_states(teacher, grid, eps, 8)
-        assert np.array_equal(np.stack(states),
-                              np.stack(rollout(teacher, grid, eps, 4, 0, 8)[1:]))
-        assert np.stack(states).shape == (4, 8, 2)
+        to_k = np.array([3, 0, 2, 1, 0, 3, 1, 2])
+        states = trajectory_states(teacher, grid, eps, to_k)
+        assert states.shape == (8, 2)
+        reference = per_stage_reference(teacher, grid, eps, 8)
+        for i, k in enumerate(to_k):
+            assert np.array_equal(states[i], reference[3 - k][i])
 
     def test_consistent_with_direct_solve(self):
-        # stopping early at t_{to_k} records a bitwise prefix of the full
-        # per-stage solve
+        # solving each row only down to its own boundary, with the grid's
+        # teacher sub-steps, gives the bits of the full per-stage solve
         teacher = AnalyticField(default_benchmark())
-        grid = default_grid(4)
-        eps = np.random.default_rng(4).standard_normal((8, 2))
-        reference = per_stage_reference(teacher, grid, eps, 8)
-        for to_k in range(4):
-            states = trajectory_states(teacher, grid, eps, 8, to_k)
-            assert len(states) == 4 - to_k
-            for j, state in enumerate(states):
-                assert np.array_equal(state, reference[j])
+        grid = default_grid(4, 3.0, teacher_substeps_per_stage=3)
+        rng = np.random.default_rng(4)
+        eps = rng.standard_normal((16, 2))
+        reference = per_stage_reference(teacher, grid, eps, 3)
+        for to_k in [rng.integers(0, 4, 16) for _ in range(4)] + [2]:
+            states = trajectory_states(teacher, grid, eps, to_k)
+            for i, k in enumerate(np.broadcast_to(to_k, 16)):
+                assert np.array_equal(states[i], reference[3 - k][i])
 
 
 class TestGeneratorGrads:

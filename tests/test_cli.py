@@ -24,6 +24,14 @@ from flowlab.netcore import MlpSpec, TrainingError, init_params, save_params
 from flowlab.sched import format_sigmas
 
 
+def net_layers(widths):
+    """The widths, weights and biases of a checkpoint of a fresh net."""
+    params = init_params(MlpSpec(widths))
+    return {"widths": list(widths),
+            "weights": [w.tolist() for w in params.weights],
+            "biases": [b.tolist() for b in params.biases]}
+
+
 class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -663,8 +671,14 @@ class TestMainCli:
         lambda d: d.pop("activation"),
         lambda d: d.update(activation="tanh"),
         None,
+        lambda d: d.update(net_layers((3, 8, 2))),
+        lambda d: d.update(net_layers((5, 8, 3))),
+        lambda d: d.update(net_layers((5, 8, 1))),
+        lambda d: d["biases"][0].__setitem__(0, float("nan")),
+        lambda d: d["weights"][-1][0].__setitem__(1, float("-inf")),
     ], ids=["too-few-layers", "bias-sizes", "missing-activation",
-            "tanh-activation", "invalid-json"])
+            "tanh-activation", "invalid-json", "three-inputs",
+            "three-outputs", "scalar-head", "nan-bias", "infinite-weight"])
     @pytest.mark.parametrize("command", ["infer", "diagnose", "train"])
     def test_malformed_checkpoint_exit_one(self, tmp_path, capsys, command,
                                            break_checkpoint):
@@ -686,6 +700,22 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not out.exists()
+
+    # made errors, as below: a blown-up student must not warn on its way out
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diagnose_blown_up_student_exit_two(self, tmp_path, capsys):
+        # finite parameters whose rollout leaves the sample bound
+        params = init_params(MlpSpec((5, 8, 8, 8, 2)))
+        params.biases[-1][:] = 1e300
+        ckpt = tmp_path / "blown.json"
+        save_params(params, ckpt)
+        assert main(["diagnose", "--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("training error: student boundary states "
+                                 "reach |x| = ")
 
     def test_missing_config_file_exit_one(self, capsys):
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1
@@ -762,3 +792,19 @@ class TestMainCli:
     def test_parser_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+def test_import_loads_the_layer_modules_only():
+    # `import flowlab` loads the package and its six layer modules, and not
+    # the CLI: the import work a fresh interpreter does
+    script = ("import sys, flowlab; print(*sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'flowlab'))")
+    src = str(Path(flowlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert proc.stdout.split() == [
+        "flowlab", "flowlab.adv", "flowlab.diag", "flowlab.distill",
+        "flowlab.flow", "flowlab.netcore", "flowlab.sched"]

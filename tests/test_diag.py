@@ -341,32 +341,13 @@ class TestInterstageDistance:
         student = train_student(teacher, default_benchmark(), "perflow", grid,
                                 cfg=TrainConfig(iterations=100, batch_size=32,
                                                 seed=0))
-        rows = interstage_distance(teacher, student, grid, 128,
-                                   default_benchmark(), seed=0,
-                                   n_permutations=100)
+        rows = interstage_distance(student, grid, 128, default_benchmark(),
+                                   seed=0, n_permutations=100)
         assert len(rows) == 3  # interior boundaries only
         for row in rows:
             assert set(row) == {"boundary", "energy_distance", "p_value", "w2"}
             assert 0.0 < row["p_value"] <= 1.0
             assert row["w2"] >= 0.0
-
-    def test_teacher_as_student_ota_inputs_match(self):
-        # if the "student" is the teacher run at 1 step per stage, the
-        # ota-style training inputs at the first interior boundary are the
-        # same construction up to substep count; with 1 teacher substep they
-        # coincide and the test must not reject
-        teacher = AnalyticField(default_benchmark())
-        grid = default_grid(4, teacher_substeps_per_stage=1)
-        rows = interstage_distance(teacher, teacher, grid, 256,
-                                   default_benchmark(), seed=2, method="ota",
-                                   n_permutations=200)
-        assert all(row["p_value"] > 0.05 for row in rows)
-
-    def test_unknown_method(self):
-        teacher = AnalyticField(default_benchmark())
-        with pytest.raises(ValueError):
-            interstage_distance(teacher, teacher, default_grid(4), 32,
-                                default_benchmark(), method="reflow")
 
 
 class TestVelocityResidual:

@@ -505,8 +505,10 @@ class TestCheckpoint:
         lambda d: d.update(widths=7),
         lambda d: d["weights"][0][0].append(1.0),
         lambda d: d.update(activation="tanh"),
+        lambda d: d["biases"][0].__setitem__(0, float("nan")),
     ], ids=["too-few-layers", "bias-size", "weight-rows", "missing-key",
-            "widths-not-a-list", "ragged-weight", "tanh-activation"])
+            "widths-not-a-list", "ragged-weight", "tanh-activation",
+            "nan-bias"])
     def test_malformed_rejected(self, tmp_path, edit):
         payload = json.loads((DATA / "checkpoint_v0.json").read_text())
         edit(payload)
