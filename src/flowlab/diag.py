@@ -166,7 +166,7 @@ def check_bounded(points, spec: MixtureSpec, what: str):
     """TrainingError if a coordinate of points leaves SAMPLE_BOUND x (max
     |mu| + 5 max s + 1) of spec: a student blown up but still finite."""
     bound = SAMPLE_BOUND * (np.abs(spec.means).max() + 5 * spec.stds.max() + 1)
-    peak = np.abs(points).max()
+    peak = np.abs(points).max(initial=0.0)  # K = 1 has no boundary states
     if not peak <= bound:
         raise TrainingError(f"{what} reach |x| = {peak:.3g}, beyond {bound:g}"
                             f" = {SAMPLE_BOUND:g} x (max |mu| + 5 max s + 1)")
@@ -192,11 +192,12 @@ def interstage_distance(student, grid: StageGrid, n: int, data: MixtureSpec,
     check_bounded(b_sets, data, "student boundary states")
     results = []
     for k, a_set, z in zip(range(K, 1, -1), a_sets, b_sets):
+        t_b = grid.t(k - 1)
         stat, p = energy_permutation_test(a_set, z, n_permutations,
                                           seed=seed + k)
         m = min(W2_MAX_POINTS, n)
         w2 = w2_exact_small(a_set[:m], z[:m])
-        results.append({"boundary": grid.t(k - 1), "energy_distance": stat,
+        results.append({"boundary": float(t_b), "energy_distance": stat,
                         "p_value": p, "w2": w2})
     return results
 

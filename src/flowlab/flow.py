@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (MlpParams, MlpSpec, TrainingError, backward, forward,
-                      init_adam, init_params, adam_step)
+from .netcore import (MlpParams, MlpSpec, TrainingError, forward, init_adam,
+                      init_params, adam_step)
 
 # v has a 1/sigma singularity at 0; AnalyticField freezes below this level
 SIGMA_FLOOR = 1e-3
@@ -141,13 +141,14 @@ class AnalyticField:
 
 
 class LearnedField:
-    """MLP-backed velocity field of the 5 field features, evaluated at the
-    sigma it is given, as training evaluates the student."""
+    """MLP-backed velocity field of field_features, evaluated at the sigma
+    it is given, as training evaluates the student."""
 
     def __init__(self, params: MlpParams):
         widths = params.spec.widths
-        if widths[0] != 5 or widths[-1] != 2:
-            raise ValueError(f"need widths (5, ..., 2), got {widths}")
+        if (widths[0], widths[-1]) != (DEFAULT_WIDTHS[0], DEFAULT_WIDTHS[-1]):
+            raise ValueError(f"need widths ({DEFAULT_WIDTHS[0]}, ..., "
+                             f"{DEFAULT_WIDTHS[-1]}), got {widths}")
         self.params = params
 
     def __call__(self, z, sigma):
@@ -218,15 +219,12 @@ def train_flow_matching(spec: MixtureSpec, cfg: TrainConfig = TrainConfig(),
     Minimizes E || v(z_sigma, sigma) - (eps - z0) ||^2 with
     sigma ~ U[SIGMA_FLOOR, 1]; the optional learned teacher.
     """
+    from .distill import distill_grads  # distill imports this module
+
     def step(params, rng):
         z0 = sample_mixture(spec, cfg.batch_size, rng)
         eps = rng.standard_normal((cfg.batch_size, 2))
         sig = rng.uniform(SIGMA_FLOOR, 1.0, cfg.batch_size)
-        z = interpolate(z0, eps, sig)
-        tapes = []
-        resid = forward(params, field_features(z, sig), tapes) - (eps - z0)
-        loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-        grads, _ = backward(params, tapes[0], 2.0 * resid / cfg.batch_size)
-        return loss, grads
+        return distill_grads(params, interpolate(z0, eps, sig), sig, eps - z0)
 
     return fit(lambda rng: lambda params: step(params, rng), cfg, history)

@@ -717,6 +717,20 @@ class TestMainCli:
         assert err[0].startswith("training error: student boundary states "
                                  "reach |x| = ")
 
+    def test_one_stage_train_and_diagnose(self, tmp_path, capsys):
+        # one stage has no interior boundary: an empty inter-stage report
+        out = tmp_path / "run"
+        assert main(["train", "--stages", "1", "--iters", "2", "--seed", "0",
+                     "--out", str(out)]) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["seeds"]["0"]["interstage"] == []
+        capsys.readouterr()
+        ckpt = out / "checkpoint_seed0.json"
+        assert main(["diagnose", "--stages", "1", "--iters", "1",
+                     "--checkpoint", str(ckpt)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["interstage"] == []
+
     def test_missing_config_file_exit_one(self, capsys):
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1
 
