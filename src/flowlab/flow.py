@@ -12,6 +12,7 @@ trainer turns fit's rng into a step function that it runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,29 +91,56 @@ def analytic_velocity(spec: MixtureSpec, z, sigma) -> np.ndarray:
     z_sigma | x ~ N((1-sigma) x, sigma^2 I) composed with x ~ N(mu_k, s_k^2 I)
     gives marginal variance (1-sigma)^2 s_k^2 + sigma^2 and posterior mean
     mu_k + (1-sigma) s_k^2 / var_k * (z - (1-sigma) mu_k).
+
+    z is one point (2,) or a batch (B, 2); sigma is a scalar or (B,).
+    The field is computed one component at a time on (B,) columns; the
+    constants of each component (var_k, log var_k, the gain) are computed
+    once per call, for all rows at a scalar sigma. The two sums over
+    components keep the order of numpy's reductions over a (B, K) array,
+    so every bit is that of the broadcast form: the normaliser sum_k r_k
+    is a left fold for K < 8 and numpy's `sum(axis=1)` of the C-contiguous
+    (B, K) array for K >= 8 (its 8-way pairwise sum), and the posterior
+    mean is a left fold. Both orders are per row, so a row's velocity does
+    not depend on the batch it is evaluated in.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     zb = z[None, :] if single else z
+    if zb.ndim != 2 or zb.shape[1] != 2:
+        raise ValueError(f"points must have shape (2,) or (B, 2), got {z.shape}")
     sig = np.asarray(sigma, dtype=np.float64)
     if np.any(sig < SIGMA_FLOOR) or np.any(sig > 1.0):
         raise ValueError(f"sigma must lie in [{SIGMA_FLOOR}, 1]")
-    sig = np.broadcast_to(sig, zb.shape[:-1])[..., None]  # (B, 1)
+    if sig.ndim:
+        sig = np.broadcast_to(sig, zb.shape[:1])  # (B,)
 
-    a = 1.0 - sig                                   # (B, 1)
-    var = a ** 2 * spec.stds[None, :] ** 2 + sig ** 2   # (B, K)
-    diff = zb[:, None, :] - a[:, None, :] * spec.means[None, :, :]  # (B, K, 2)
-    log_r = (np.log(spec.weights)[None, :]
-             - np.sum(diff ** 2, axis=-1) / (2.0 * var)
-             - np.log(var))                          # (B, K); 2D => -d/2 log var = -log var
-    log_r -= log_r.max(axis=1, keepdims=True)
-    r = np.exp(log_r)
-    r /= r.sum(axis=1, keepdims=True)
+    # per component (axis 0): (K, 1) at a scalar sigma, (K, B) per row
+    a = 1.0 - sig
+    s2 = (spec.stds * spec.stds)[:, None]
+    var = a * a * s2 + sig * sig
+    two_var, log_var = 2.0 * var, np.log(var)
+    gain = a * s2 / var
+    a_mu = a * spec.means[:, :, None]                # (K, 2, 1 or B)
+    log_w = np.log(spec.weights)
+    zx, zy = zb.T.copy()
 
-    gain = a * spec.stds[None, :] ** 2 / var         # (B, K)
-    m = spec.means[None, :, :] + gain[..., None] * diff  # (B, K, 2)
-    post_mean = np.sum(r[..., None] * m, axis=1)     # (B, 2)
-    v = (zb - post_mean) / sig
+    diffs = [(zx - a_mu[k, 0], zy - a_mu[k, 1]) for k in range(len(log_w))]
+    # 2D => -d/2 log var = -log var
+    log_rs = [log_w[k] - (dx * dx + dy * dy) / two_var[k] - log_var[k]
+              for k, (dx, dy) in enumerate(diffs)]
+    top = functools.reduce(np.maximum, log_rs)
+    rs = [np.exp(log_r - top) for log_r in log_rs]
+    if len(rs) < 8:
+        total = sum(rs, 0.0)  # left to right from 0.0, as numpy below 8
+    else:
+        total = np.stack(rs, axis=1).sum(axis=1)
+
+    mx = my = 0.0
+    for k, (r, (dx, dy)) in enumerate(zip(rs, diffs)):
+        r = r / total
+        mx = mx + r * (spec.means[k, 0] + gain[k] * dx)
+        my = my + r * (spec.means[k, 1] + gain[k] * dy)
+    v = (zb - np.stack([mx, my], axis=1)) / (sig[:, None] if sig.ndim else sig)
     return v[0] if single else v
 
 

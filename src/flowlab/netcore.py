@@ -19,18 +19,12 @@ class TrainingError(RuntimeError):
     """Raised when a training signal (loss or gradient) goes non-finite."""
 
 
-# exp(-x) overflows to inf for x below about -709, and both forms are still
-# right there (s = 0); a blown-up run reports one error, not numpy warnings
+# exp(-x) overflows to inf for x below about -709, and silu and its
+# derivative are still right there (s = 0); a blown-up run reports one
+# error, not numpy warnings
 @np.errstate(over="ignore")
-def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
-
-
-@np.errstate(over="ignore")
-def _dsilu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,8 @@ class Tape:
 
     params: MlpParams
     x: np.ndarray     # the (B, d) input
-    pre: list         # pre-activations of the hidden layers
+    pre: list         # pre-activations x of the hidden layers
+    sigmoid: list     # their sigmoids s; silu is x * s, silu' s (1 + x (1 - s))
     hidden: list      # post-activation hiddens (the feature layers)
 
 
@@ -112,13 +107,14 @@ def _trace(params: MlpParams, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.widths[0]:
         raise ValueError(f"need a (B, {params.spec.widths[0]}) input batch")
-    pre, hidden, h = [], [], x
+    pre, sigmoid, hidden, h = [], [], [], x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         pre.append(h @ w + b)
-        h = _silu(pre[-1])
+        sigmoid.append(_sigmoid(pre[-1]))
+        h = pre[-1] * sigmoid[-1]
         hidden.append(h)
     y = h @ params.weights[-1] + params.biases[-1]  # last layer affine
-    return y, Tape(params, x, pre, hidden)
+    return y, Tape(params, x, pre, sigmoid, hidden)
 
 
 def forward(params: MlpParams, x, tapes: list = None):
@@ -159,7 +155,8 @@ def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
         if i > 0:
             if hidden_grads is not None and hidden_grads[i - 1] is not None:
                 gh = gh + np.asarray(hidden_grads[i - 1], dtype=np.float64)
-            g = gh * _dsilu(tape.pre[i - 1])
+            s, x = tape.sigmoid[i - 1], tape.pre[i - 1]
+            g = gh * (s * (1.0 + x * (1.0 - s)))
         else:
             g = gh
     return grads, g
@@ -206,8 +203,9 @@ def save_params(params: MlpParams, path):
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
     }
+    text = json.dumps(payload)  # one write; json.dump makes many small ones
     with open(path, "w") as f:
-        json.dump(payload, f)
+        f.write(text)
 
 
 def load_params(path) -> MlpParams:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.distill import StageGrid, rollout
 from flowlab.flow import (AnalyticField, MixtureSpec,
@@ -25,6 +26,47 @@ def mc_posterior_velocity(spec, z, sigma, n=10 ** 6, seed=0):
     est = w @ g
     se = np.sqrt(np.sum(w[:, None] ** 2 * (g - est) ** 2, axis=0))
     return est, se
+
+
+def broadcast_velocity(spec, z, sigma):
+    """The field in its (B, K, 2) broadcast form, as `analytic_velocity`
+    computed it before it went one component at a time; the bit oracle."""
+    z = np.asarray(z, dtype=np.float64)
+    single = z.ndim == 1
+    zb = z[None, :] if single else z
+    sig = np.asarray(sigma, dtype=np.float64)
+    sig = np.broadcast_to(sig, zb.shape[:-1])[..., None]  # (B, 1)
+
+    a = 1.0 - sig                                   # (B, 1)
+    var = a ** 2 * spec.stds[None, :] ** 2 + sig ** 2   # (B, K)
+    diff = zb[:, None, :] - a[:, None, :] * spec.means[None, :, :]  # (B, K, 2)
+    log_r = (np.log(spec.weights)[None, :]
+             - np.sum(diff ** 2, axis=-1) / (2.0 * var)
+             - np.log(var))                          # (B, K)
+    log_r -= log_r.max(axis=1, keepdims=True)
+    r = np.exp(log_r)
+    r /= r.sum(axis=1, keepdims=True)
+
+    gain = a * spec.stds[None, :] ** 2 / var         # (B, K)
+    m = spec.means[None, :, :] + gain[..., None] * diff  # (B, K, 2)
+    post_mean = np.sum(r[..., None] * m, axis=1)     # (B, 2)
+    v = (zb - post_mean) / sig
+    return v[0] if single else v
+
+
+def random_mixture(k, rng, point_masses=False):
+    """k components with spread-out weights, means and stds; with
+    point_masses, about half of the stds are 0."""
+    w = rng.uniform(0.05, 1.0, k)
+    stds = rng.uniform(0.0, 2.0, k)
+    if point_masses:
+        stds[rng.random(k) < 0.5] = 0.0
+    return MixtureSpec(w / w.sum(), rng.normal(0.0, 3.0, (k, 2)), stds)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestMixtureSpec:
@@ -145,6 +187,57 @@ class TestAnalyticVelocity:
             v_ds = analytic_velocity(spec, z, sig + 1e-9)
             assert np.linalg.norm(v_dz - v) < 1e-3
             assert np.linalg.norm(v_ds - v) < 1e-3
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1,), (5, 3), (3,), (2, 5, 2)])
+    def test_points_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            analytic_velocity(default_benchmark(), np.zeros(shape), 0.5)
+
+
+class TestComponentMajorBits:
+    """`analytic_velocity` against the broadcast form, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 12), batch=st.sampled_from([1, 2, 7, 300, 4096]),
+           sigma=st.sampled_from(["floor", "one", "scalar", "rows",
+                                  "rows-at-ends"]),
+           point_masses=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_broadcast_form(self, k, batch, sigma, point_masses, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_mixture(k, rng, point_masses)
+        z = rng.normal(0.0, 4.0, (batch, 2))
+        sig = {"floor": SIGMA_FLOOR, "one": 1.0,
+               "scalar": rng.uniform(SIGMA_FLOOR, 1.0),
+               "rows": rng.uniform(SIGMA_FLOOR, 1.0, batch),
+               "rows-at-ends": rng.choice([SIGMA_FLOOR, 1.0], batch)}[sigma]
+        assert_same_bits(analytic_velocity(spec, z, sig),
+                         broadcast_velocity(spec, z, sig))
+        s0 = sig[0] if np.ndim(sig) else sig
+        assert_same_bits(analytic_velocity(spec, z[0], s0),
+                         broadcast_velocity(spec, z[0], s0))
+
+    def test_thirty_three_components(self):
+        rng = np.random.default_rng(33)
+        spec = random_mixture(33, rng, point_masses=True)
+        z = rng.normal(0.0, 4.0, (500, 2))
+        for sig in (SIGMA_FLOOR, 0.4, 1.0, rng.uniform(SIGMA_FLOOR, 1.0, 500)):
+            assert_same_bits(analytic_velocity(spec, z, sig),
+                             broadcast_velocity(spec, z, sig))
+
+    @pytest.mark.parametrize("k", [8, 9, 16, 33])
+    def test_row_does_not_depend_on_its_batch(self, k):
+        # at 8 or more components the normaliser is a pairwise sum; summed
+        # over axis 0 of a (K, B) array it would be one only at B = 1
+        rng = np.random.default_rng(k)
+        spec = random_mixture(k, rng)
+        z = rng.normal(0.0, 4.0, (64, 2))
+        for sig in (0.3, rng.uniform(SIGMA_FLOOR, 1.0, 64)):
+            v = analytic_velocity(spec, z, sig)
+            for i in range(64):
+                s_i = sig[i] if np.ndim(sig) else sig
+                assert_same_bits(analytic_velocity(spec, z[i:i + 1], s_i),
+                                 v[i:i + 1])
+                assert_same_bits(analytic_velocity(spec, z[i], s_i), v[i])
 
 
 class TestOdeSolve:
