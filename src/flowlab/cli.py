@@ -11,11 +11,9 @@ regenerated bit-identically.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -31,6 +29,7 @@ from .diag import (W2_MAX_POINTS, check_bounded, energy_permutation_test,
 from .distill import StageGrid, default_grid, infer_few_step, train_student
 from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
                    default_benchmark, sample_mixture, solve_on_grid)
+from . import netcore
 from .netcore import TrainingError, load_params, save_params
 from .sched import SAMPLERS, format_sigmas
 
@@ -244,36 +243,11 @@ _worker_fn = None
 def _init_worker(fn):
     global _worker_fn
     _worker_fn = fn
+    netcore._in_seed_worker = True
 
 
 def _call_worker(item):
     return _worker_fn(item)
-
-
-def _blas_threads():
-    """Threads the OpenBLAS loaded in this process runs, asked of the
-    library itself (the most over several copies), or None when no OpenBLAS
-    is loaded or it cannot be asked (another BLAS, no /proc)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return None
-    counts = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            get = getattr(lib, symbol, None)
-            if get is not None:
-                get.restype = ctypes.c_int
-                counts.append(get())
-                break
-    return max(counts, default=None)
 
 
 def _traced() -> bool:
@@ -293,18 +267,16 @@ def map_seeds(fn, items) -> list:
     fn reaches the workers through fork, not pickle, so a closure works;
     only items and results cross the pipe. Workers inherit the parent's
     BLAS thread count, so each result is bit-identical to the serial one.
-    Each worker's BLAS threads count against the usable CPUs: on 2 CPUs,
-    two workers of two OpenBLAS threads each trained each seed about 3x
-    slower than one process did. A BLAS whose thread count cannot be asked
-    counts one thread per CPU, so the run stays serial. Every worker is
-    joined before this returns.
+    Each worker's BLAS threads count against the usable CPUs, so there are
+    at most netcore._cpu_share() workers: on 2 CPUs, two workers of two
+    OpenBLAS threads each trained each seed about 3x slower than one
+    process did. A BLAS whose thread count cannot be asked counts one
+    thread per CPU, so the run stays serial. A worker's own share is 1.
+    Every worker is joined before this returns.
     """
     items = list(items)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
-    serial = min(len(items), cpus) <= 1 or _traced()
-    workers = 1 if serial else min(len(items),
-                                   cpus // (_blas_threads() or cpus))
+    serial = len(items) <= 1 or _traced()
+    workers = 1 if serial else min(len(items), netcore._cpu_share())
     if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),

@@ -11,18 +11,22 @@ marginals (sigma(t) = t, so sigma' = 1).
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .distill import StageGrid, rollout
 from .flow import MixtureSpec, SIGMA_FLOOR, interpolate, sample_mixture
-from .netcore import TrainingError
+from .netcore import TrainingError, _cpu_share
 
 W2_MAX_POINTS = 256
 # a student's samples stay within this multiple of max |mu| + 5 max s + 1
 SAMPLE_BOUND = 100.0
-ENERGY_BLOCK_ELEMENTS = 2 ** 20  # distances per row block (8 MiB in float64)
+# distances per row block (8 MiB in float64), split between the threads
+ENERGY_BLOCK_ELEMENTS = 2 ** 20
 
 
 def w2_exact_small(a, b) -> float:
@@ -76,11 +80,14 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     Let D be the float32 distance matrix of the 2n pooled points. Every
     permutation statistic follows from D @ X, where X holds one 0/1 label
     column per permutation, so all P permutations cost one matrix product.
-    D is never held whole: it is computed in blocks of rows, each folded
-    into D @ X, D @ mask and the total of D before the next is computed.
-    Memory is O(n * P) plus one block of ENERGY_BLOCK_ELEMENTS distances
-    (at least 64 rows), and the results are bit-identical to forming D
-    whole (for a fixed BLAS thread count).
+    D is never held whole: it is computed in blocks of rows, each written
+    into its rows of D @ X and D @ mask and folded, in row order, into the
+    total of D. The blocks run on as many threads as netcore._cpu_share()
+    allows (1 with the BLAS unpinned), which split one block of
+    ENERGY_BLOCK_ELEMENTS distances between them (each at least 64 rows).
+    Memory is O(n * P) plus those blocks, and the results are bit-identical
+    to forming D whole for a fixed BLAS thread count, whatever the number
+    of threads here. Non-finite points raise ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -90,6 +97,8 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
         raise ValueError("point sets must be nonempty")
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("points must be finite")
     n = len(a)
     pooled = np.vstack([a, b])
 
@@ -102,15 +111,42 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
 
     r = np.empty(2 * n, dtype=np.float32)
     R = np.empty((2 * n, n_permutations), dtype=np.float32)
-    s_tot, tail = 0.0, np.empty(0, dtype=np.float32)
     # heights that are not a multiple of 64 rows changed D @ mask in the
     # float32 last bits against the whole-matrix product
     rows = max(64, ENERGY_BLOCK_ELEMENTS // (2 * n) // 64 * 64)
-    for i0 in range(0, 2 * n, rows):
-        Db = cdist(pooled[i0:i0 + rows], pooled).astype(np.float32)
-        R[i0:i0 + rows] = Db @ X
-        r[i0:i0 + rows] = Db @ mask
-        s_tot, tail = _sum_chunks(s_tot, tail, Db.ravel())
+    # the threads split one block's rows, so the memory does not grow
+    share = min(_cpu_share(), rows // 64) if 2 * n > rows else 1
+    rows = rows // share // 64 * 64
+    starts = range(0, 2 * n, rows)
+    dist = np.empty((share, min(rows, 2 * n), 2 * n))
+    dist32 = np.empty(dist.shape, dtype=np.float32)
+
+    def block(j):
+        # one block into buffer j % share; a thread's body calls no public
+        # flowlab function, whose tracer keeps one span stack per process
+        i0 = starts[j]
+        m = min(rows, 2 * n - i0)
+        D64, Db = dist[j % share, :m], dist32[j % share, :m]
+        cdist(pooled[i0:i0 + m], pooled, out=D64)
+        np.copyto(Db, D64)
+        np.matmul(Db, X, out=R[i0:i0 + m])
+        np.matmul(Db, mask, out=r[i0:i0 + m])
+        return Db.ravel()
+
+    s_tot, tail = 0.0, np.empty(0, dtype=np.float32)
+    if share == 1:
+        for j in range(len(starts)):
+            s_tot, tail = _sum_chunks(s_tot, tail, block(j))
+    else:
+        # buffer j % share is refilled only after block j is folded, and
+        # the pool's threads are joined before this returns
+        with ThreadPoolExecutor(share) as pool:
+            ahead = deque(pool.submit(block, j) for j in range(share))
+            for j in range(len(starts)):
+                s_tot, tail = _sum_chunks(s_tot, tail,
+                                          ahead.popleft().result())
+                if j + share < len(starts):
+                    ahead.append(pool.submit(block, j + share))
     s_tot = float(np.add.reduce(tail, dtype=np.float64, initial=s_tot))
 
     def stat_from_saa(s_aa, colsum):

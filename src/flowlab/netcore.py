@@ -5,11 +5,15 @@ training trajectories on one machine. Every net is a silu MLP, and its
 inputs are (B, d) batches; parameter gradients are summed over the batch.
 Parameters, gradients and Adam moments are flat vectors of one layout;
 `backward` pulls back a forward pass's tape, so each pass traces once.
+`_cpu_share` is the one rule for how many BLAS calls a process may run at
+once: the seed pool and the energy test both size their work by it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,3 +224,45 @@ def load_params(path) -> MlpParams:
         return MlpParams.from_layers(spec, payload["weights"], payload["biases"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from None
+
+
+# set in map_seeds' forked workers, which already fill the usable CPUs
+_in_seed_worker = False
+
+
+def _blas_threads():
+    """Threads the OpenBLAS loaded in this process runs, asked of the
+    library itself (the most over several copies), or None when no OpenBLAS
+    is loaded or it cannot be asked (another BLAS, no /proc)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    counts = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                counts.append(get())
+                break
+    return max(counts, default=None)
+
+
+def _cpu_share() -> int:
+    """BLAS calls this process may run at once: its usable CPUs divided by
+    the BLAS threads each call runs, at least 1, and 1 in a seed worker.
+    A BLAS whose thread count cannot be asked counts one thread per CPU, so
+    an unpinned process gets 1."""
+    if _in_seed_worker:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    return max(1, cpus // (_blas_threads() or cpus))

@@ -94,7 +94,7 @@ def test_run_experiment_counts_every_seed(tmp_path, monkeypatch):
     # where the seeds would go to forked workers, a traced run stays in the
     # tracer's process, so every seed's training is counted
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(flowlab.netcore, "_blas_threads", lambda: 1)
     config = ExperimentConfig(method="perflow", iterations=3, batch=8,
                               eval_samples=64, seeds=(0, 1, 2),
                               output_dir=str(tmp_path))

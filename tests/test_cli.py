@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import flowlab.cli
+import flowlab.netcore
 from flowlab.adv import AdvConfig
 from flowlab.cli import (CONFIG_TABLE, ConfigError, ExperimentConfig,
                          _config_from_args, build_parser, load_config, main,
@@ -358,7 +359,7 @@ def one_cpu(monkeypatch):
 def two_cpus(monkeypatch):
     """Two usable CPUs and one BLAS thread, as map_seeds counts them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(flowlab.netcore, "_blas_threads", lambda: 1)
 
 
 def run_files(out):
@@ -426,7 +427,7 @@ class TestSeedPool:
         (None, 2, 1), (None, 8, 1)])
     def test_workers_share_cpus_with_blas_threads(self, monkeypatch, blas,
                                                   cpus, workers):
-        monkeypatch.setattr(flowlab.cli, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(flowlab.netcore, "_blas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         pools = []
@@ -440,6 +441,23 @@ class TestSeedPool:
         assert map_seeds(lambda x: -x, range(8)) == [-x for x in range(8)]
         assert pools == ([] if workers == 1 else [workers])
 
+    @pytest.mark.parametrize("blas, cpus, share", [
+        (1, 2, 2), (2, 2, 1), (4, 2, 1), (None, 2, 1), (1, 1, 1), (2, 8, 4)])
+    def test_cpu_share(self, monkeypatch, blas, cpus, share):
+        # one rule sizes both the seed pool and the energy test's threads
+        monkeypatch.setattr(flowlab.netcore, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert flowlab.netcore._cpu_share() == share
+
+    def test_share_is_one_in_a_worker(self, monkeypatch):
+        two_cpus(monkeypatch)
+        seen = map_seeds(lambda _: (os.getpid(), flowlab.netcore._cpu_share()),
+                         range(2))
+        assert all(pid != os.getpid() for pid, _ in seen)
+        assert [share for _, share in seen] == [1, 1]
+        assert flowlab.netcore._cpu_share() == 2
+
     @pytest.mark.parametrize("env, threads", [
         ({"MKL_NUM_THREADS": "1"}, "cpus"),
         ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 1),
@@ -448,7 +466,8 @@ class TestSeedPool:
         # OpenBLAS reads its variables once, when numpy loads it, so each
         # case runs in a fresh interpreter; MKL_NUM_THREADS is not one of
         # them, and OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS
-        script = ("import os, flowlab.cli as c; print(c._blas_threads(), "
+        script = ("import os, flowlab.cli as c, flowlab.netcore as core; "
+                  "print(core._blas_threads(), "
                   "len(os.sched_getaffinity(0)), "
                   "set(c.map_seeds(lambda _: os.getpid(), range(2))) "
                   "== {os.getpid()})")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import flowlab
+import flowlab.diag
 from flowlab.diag import (energy_distance, energy_permutation_test,
                           expected_velocity_residual, interstage_distance,
                           teacher_trajectory_divergence, w2_exact_small)
@@ -91,22 +93,56 @@ def oracle_results():
     return rows
 
 
-@pytest.fixture(scope="module")
-def oracle_rows():
-    # The dense reference itself changes with the BLAS thread count at some
-    # n, so both run in a child process pinned to one thread. JSON floats
-    # round-trip exactly.
+# n = 200 fits one block. Above it, blocks are 512, 256 and 128 rows high
+# at shares 1, 2 and 3. n = 992's 1984 rows leave a partial last block,
+# and each block holds whole np.getbufsize() = 8192-distance summation
+# chunks; n = 1001's blocks of 2002-distance rows never do, so a chunk
+# runs across each block's edge.
+SHARE_NS = (200, 992, 1001)
+
+
+def share_results():
+    """(share, n, result, ran on the calling thread, blocks) for each share
+    in 1-3 and n in SHARE_NS. Run it in a child process: it replaces diag's
+    share rule by the share, and diag's cdist by one that records threads."""
+    calling, threads, cdist_ = threading.get_ident(), [], flowlab.diag.cdist
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return cdist_(*args, **kwargs)
+
+    flowlab.diag.cdist = recorded
+    rows = []
+    for share, n in itertools.product((1, 2, 3), SHARE_NS):
+        flowlab.diag._cpu_share = lambda: share
+        threads.clear()
+        a, b = oracle_points(n, "scaled")
+        result = energy_permutation_test(a, b, 50, seed=n)
+        rows.append((share, n, result, calling in threads, len(threads)))
+    return rows
+
+
+def pinned_child(call):
+    """json of this module's call() in a child process pinned to one BLAS
+    thread. JSON floats round-trip exactly."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     paths = [str(Path(flowlab.__file__).parents[1]), str(Path(__file__).parent)]
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, paths + [os.environ.get("PYTHONPATH")]))
     code = (f"import json, {Path(__file__).stem} as t; "
-            "print(json.dumps(t.oracle_results()))")
+            f"print(json.dumps(t.{call}()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=600).stdout
+    return json.loads(out)
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    # The dense reference itself changes with the BLAS thread count at some
+    # n, so both run in a pinned child process
     return {(n, P, kind): (tuple(dense), tuple(blocked))
-            for n, P, kind, dense, blocked in json.loads(out)}
+            for n, P, kind, dense, blocked in pinned_child("oracle_results")}
 
 
 def traced_peak_bytes(n):
@@ -257,6 +293,36 @@ class TestEnergyPermutationTest:
                                          ORACLE_POINT_SETS):
             dense, blocked = oracle_rows[(n, P, kind)]
             assert blocked == dense, (P, kind)
+
+    def test_python_thread_count_does_not_change_bits(self):
+        rows = pinned_child("share_results")
+        for n in SHARE_NS:
+            results = {share: tuple(result)
+                       for share, m, result, _, _ in rows if m == n}
+            assert results[2] == results[3] == results[1], n
+        for share, n, _, on_calling_thread, blocks in rows:
+            threaded = share > 1 and blocks > 1
+            assert on_calling_thread != threaded, (share, n)
+        assert [blocks for share, n, *_, blocks in rows if n == 992] == [
+            4, 8, 16]
+
+    def test_threads_share_one_block_of_memory(self, monkeypatch):
+        peaks = {}
+        for share in (1, 2):
+            monkeypatch.setattr(flowlab.diag, "_cpu_share", lambda: share)
+            peaks[share] = traced_peak_bytes(4096)
+        assert peaks[2] <= 1.1 * peaks[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN statistic used to come with p = 1 / (P + 1), the most
+        # significant p-value there is
+        finite = np.zeros((4, 2))
+        broken = np.ones((4, 2))
+        broken[2, 1] = bad
+        for a, b in ((finite, broken), (broken, finite)):
+            with pytest.raises(ValueError, match="finite"):
+                energy_permutation_test(a, b, 20)
 
     def test_memory_linear_in_n(self):
         # the whole distance matrix would take 192 MiB at n = 2048 and grow
