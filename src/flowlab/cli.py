@@ -196,8 +196,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _write_points(f, points):
-    for x, y in np.asarray(points, dtype=np.float64):
-        f.write(f"{float(x)!r} {float(y)!r}\n")
+    f.write("".join(f"{x!r} {y!r}\n" for x, y in
+                    np.asarray(points, dtype=np.float64).tolist()))
 
 
 def _train_one(config: ExperimentConfig, seed: int, history: list):

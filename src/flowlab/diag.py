@@ -11,7 +11,6 @@ marginals (sigma(t) = t, so sigma' = 1).
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,8 +24,17 @@ from .netcore import TrainingError, _cpu_share
 W2_MAX_POINTS = 256
 # a student's samples stay within this multiple of max |mu| + 5 max s + 1
 SAMPLE_BOUND = 100.0
-# distances per row block (8 MiB in float64), split between the threads
+# the energy test's rows per matrix product: every product has this
+# shape whatever the threads, whose number would otherwise change the
+# products' last bits
+ENERGY_UNIT = 64
+# its row blocks are two units high, or one unit once two would hold more
+# than this many float32 distances (4 MiB); it runs on threads only
+# above this many distances in all
 ENERGY_BLOCK_ELEMENTS = 2 ** 20
+# float64 distances each thread computes at once, before the float32 cast;
+# a row longer than this is computed whole
+CDIST_ELEMENTS = 2 ** 16
 
 
 def w2_exact_small(a, b) -> float:
@@ -52,42 +60,19 @@ def energy_distance(a, b) -> float:
     return float(2.0 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean())
 
 
-def _sum_chunks(s_tot, tail, flat):
-    """Add a float32 stream to a float64 total in the order of numpy's sum.
-
-    `D.sum(dtype=np.float64)` adds the pairwise sums of consecutive
-    np.getbufsize()-element chunks of the flattened array one after
-    another. Feeding D here piece by piece, carrying the partial chunk
-    (`tail`) into the next call, and finally reducing the last tail gives
-    the same total bit for bit. Returns the new (s_tot, tail).
-    """
-    chunk = np.getbufsize()
-    if len(tail):
-        k = min(chunk - len(tail), len(flat))
-        tail = np.concatenate([tail, flat[:k]])
-        flat = flat[k:]
-        if len(tail) < chunk:
-            return s_tot, tail
-        s_tot = np.add.reduce(tail, dtype=np.float64, initial=s_tot)
-    whole = len(flat) // chunk * chunk
-    s_tot = np.add.reduce(flat[:whole], dtype=np.float64, initial=s_tot)
-    return s_tot, flat[whole:].copy()
-
-
 def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     """Two-sample energy-distance test; returns (statistic, p_value).
 
-    Let D be the float32 distance matrix of the 2n pooled points. Every
-    permutation statistic follows from D @ X, where X holds one 0/1 label
-    column per permutation, so all P permutations cost one matrix product.
-    D is never held whole: it is computed in blocks of rows, each written
-    into its rows of D @ X and D @ mask and folded, in row order, into the
-    total of D. The blocks run on as many threads as netcore._cpu_share()
-    allows (1 with the BLAS unpinned), which split one block of
-    ENERGY_BLOCK_ELEMENTS distances between them (each at least 64 rows).
-    Memory is O(n * P) plus those blocks, and the results are bit-identical
-    to forming D whole for a fixed BLAS thread count, whatever the number
-    of threads here. Non-finite points raise ValueError.
+    With D the distance matrix of the 2n pooled points and x a 0/1 column
+    labelling n of them, the statistic is (4 x'D(1 - x) - 1'D1) / n^2;
+    the p-value ranks the observed labels among P random permutations,
+    one label column each of X. `_triangle_sums` forms the sums from D's
+    upper triangle; the observed statistic comes from float64 distances
+    and does not depend on P, the permutations' from float32 products
+    with X. Memory is X's 2n * P * 4 bytes plus one block of distances,
+    and the results are fixed by n and the BLAS thread count, whatever
+    the number of threads that run the blocks. Non-finite points raise
+    ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -100,66 +85,95 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("points must be finite")
     n = len(a)
-    pooled = np.vstack([a, b])
-
-    mask = np.zeros(2 * n, dtype=np.float32)
-    mask[:n] = 1.0
     rng = np.random.default_rng(seed)
     X = np.zeros((2 * n, n_permutations), dtype=np.float32)
     for p in range(n_permutations):
         X[rng.permutation(2 * n)[:n], p] = 1.0
 
-    r = np.empty(2 * n, dtype=np.float32)
-    R = np.empty((2 * n, n_permutations), dtype=np.float32)
-    # heights that are not a multiple of 64 rows changed D @ mask in the
-    # float32 last bits against the whole-matrix product
-    rows = max(64, ENERGY_BLOCK_ELEMENTS // (2 * n) // 64 * 64)
-    # the threads split one block's rows, so the memory does not grow
-    share = min(_cpu_share(), rows // 64) if 2 * n > rows else 1
-    rows = rows // share // 64 * 64
-    starts = range(0, 2 * n, rows)
-    dist = np.empty((share, min(rows, 2 * n), 2 * n))
-    dist32 = np.empty(dist.shape, dtype=np.float32)
-
-    def block(j):
-        # one block into buffer j % share; a thread's body calls no public
-        # flowlab function, whose tracer keeps one span stack per process
-        i0 = starts[j]
-        m = min(rows, 2 * n - i0)
-        D64, Db = dist[j % share, :m], dist32[j % share, :m]
-        cdist(pooled[i0:i0 + m], pooled, out=D64)
-        np.copyto(Db, D64)
-        np.matmul(Db, X, out=R[i0:i0 + m])
-        np.matmul(Db, mask, out=r[i0:i0 + m])
-        return Db.ravel()
-
-    s_tot, tail = 0.0, np.empty(0, dtype=np.float32)
-    if share == 1:
-        for j in range(len(starts)):
-            s_tot, tail = _sum_chunks(s_tot, tail, block(j))
-    else:
-        # buffer j % share is refilled only after block j is folded, and
-        # the pool's threads are joined before this returns
-        with ThreadPoolExecutor(share) as pool:
-            ahead = deque(pool.submit(block, j) for j in range(share))
-            for j in range(len(starts)):
-                s_tot, tail = _sum_chunks(s_tot, tail,
-                                          ahead.popleft().result())
-                if j + share < len(starts):
-                    ahead.append(pool.submit(block, j + share))
-    s_tot = float(np.add.reduce(tail, dtype=np.float64, initial=s_tot))
-
-    def stat_from_saa(s_aa, colsum):
-        s_ab = colsum - s_aa
-        s_bb = s_tot - 2.0 * colsum + s_aa
-        return (2.0 * s_ab - s_aa - s_bb) / n ** 2
-
-    observed = stat_from_saa(float(mask @ r), float(r.sum(dtype=np.float64)))
-    s_aa = np.einsum("ip,ip->p", X, R, dtype=np.float64)
-    colsum = R.sum(axis=0, dtype=np.float64)
-    stats = stat_from_saa(s_aa, colsum)
+    s_obs, s_tot, s_perm = _triangle_sums(np.vstack([a, b]), X)
+    observed = float((4.0 * s_obs - s_tot) / n ** 2)
+    stats = (4.0 * s_perm - s_tot) / n ** 2
     p_value = float((1 + np.sum(stats >= observed)) / (1 + n_permutations))
     return observed, p_value
+
+
+def _triangle_sums(pooled, X):
+    """(x'D(1 - x) for x labelling the first half of pooled, 1'D1, and
+    x'D(1 - x) for each column x of X), D the pooled distance matrix.
+
+    D's rows are cut into blocks whose height depends on len(pooled)
+    alone, and block I holds its distances to the columns from its own
+    first row on. With r_I those rows' sums, block I adds
+    x_I'(r_I - D_II x_I - 2 D_I,>I x_>I) + 1'D_I,>I x_>I to x'D(1 - x),
+    and 1'D_II 1 + 2 1'D_I,>I 1 to 1'D1. The observed labels take their
+    sums from the float64 distances, X its products D_II X_I and
+    D_I,>I X_>I from the float32 ones. The calling thread adds each
+    block's float64 sums in row order. The products run one unit of
+    ENERGY_UNIT rows at a time, and the units of a block run on as many
+    threads as netcore._cpu_share() allows (1 with the BLAS unpinned), so
+    the threads share one block's memory and no result depends on their
+    number.
+    """
+    N, P = X.shape
+    n = N // 2
+    rows = 2 * ENERGY_UNIT if 2 * ENERGY_UNIT * N <= ENERGY_BLOCK_ELEMENTS \
+        else ENERGY_UNIT
+    starts = range(0, N, rows)
+    share = min(_cpu_share(), rows // ENERGY_UNIT) \
+        if N * N > ENERGY_BLOCK_ELEMENTS else 1
+    dist = np.empty(rows * N, dtype=np.float32)
+    scratch = np.empty((share, max(CDIST_ELEMENTS, N)))
+    # each row's float64 distance sums over four column ranges: in the
+    # block's square or past it, to the first n points or to the rest
+    sums = np.empty((4, rows))
+    Yd, Yo = (np.empty((rows, P), dtype=np.float32) for _ in range(2))
+
+    def part(i0, m, r0, r1, t):
+        # rows r0:r1 of the m-row block at i0, through scratch t; a
+        # thread's body calls no public flowlab function, whose tracer
+        # keeps one span stack per process
+        k = N - i0
+        D = dist[:m * k].reshape(m, k)
+        h = min(max(n - i0, 0), k)
+        cuts = (0, min(m, h), m, max(m, h), k)
+        step = max(1, CDIST_ELEMENTS // k)
+        for c0 in range(r0, r1, step):
+            c1 = min(c0 + step, r1)
+            D64 = scratch[t, :(c1 - c0) * k].reshape(c1 - c0, k)
+            cdist(pooled[i0 + c0:i0 + c1], pooled[i0:], out=D64)
+            for s in range(4):
+                np.sum(D64[:, cuts[s]:cuts[s + 1]], axis=1,
+                       out=sums[s, c0:c1])
+            np.copyto(D[c0:c1], D64)
+        for u0 in range(r0, r1, ENERGY_UNIT):
+            u1 = min(u0 + ENERGY_UNIT, r1)
+            np.matmul(D[u0:u1, :m], X[i0:i0 + m], out=Yd[u0:u1])
+            np.matmul(D[u0:u1, m:], X[i0 + m:], out=Yo[u0:u1])
+
+    s_obs, s_tot, s_perm = 0.0, 0.0, np.zeros(P)
+    w = np.empty((rows, P))
+    with ThreadPoolExecutor(share) as pool:
+        for i0 in starts:
+            m = min(rows, N - i0)
+            if share == 1:
+                part(i0, m, 0, m, 0)
+            else:  # a unit per thread
+                units = range(0, m, ENERGY_UNIT)
+                list(pool.map(lambda t: part(
+                    i0, m, units[t], min(units[t] + ENERGY_UNIT, m), t),
+                    range(len(units))))
+            da, db, oa, ob = sums[:, :m]
+            r = da + db + oa + ob
+            s_tot += (r + oa + ob).sum()
+            s_obs += (r - da - 2.0 * oa)[:max(0, n - i0)].sum() + oa.sum()
+            W = w[:m]
+            np.multiply(Yo[:m], -2.0, out=W)
+            W -= Yd[:m]
+            W += r[:, None]
+            W *= X[i0:i0 + m]
+            W += Yo[:m]
+            s_perm += W.sum(axis=0)
+    return s_obs, s_tot, s_perm
 
 
 def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,

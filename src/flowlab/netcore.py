@@ -12,6 +12,7 @@ once: the seed pool and the energy test both size their work by it.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -230,30 +231,39 @@ def load_params(path) -> MlpParams:
 _in_seed_worker = False
 
 
-def _blas_threads():
-    """Threads the OpenBLAS loaded in this process runs, asked of the
-    library itself (the most over several copies), or None when no OpenBLAS
-    is loaded or it cannot be asked (another BLAS, no /proc)."""
+@functools.cache
+def _blas_getters():
+    """The thread-count getters of every OpenBLAS loaded in this process,
+    located once: `import flowlab` loads both numpy's and scipy's copy."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
     except OSError:
-        return None
-    counts = []
+        return ()
+    getters = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
                        "openblas_get_num_threads64_",
                        "openblas_get_num_threads"):
             get = getattr(lib, symbol, None)
             if get is not None:
                 get.restype = ctypes.c_int
-                counts.append(get())
+                getters.append(get)
                 break
-    return max(counts, default=None)
+    return tuple(getters)
+
+
+def _blas_threads():
+    """Threads the OpenBLAS loaded in this process runs, asked of the
+    library itself on each call (the most over several copies), or None
+    when no OpenBLAS is loaded or it cannot be asked (another BLAS, no
+    /proc)."""
+    return max((get() for get in _blas_getters()), default=None)
 
 
 def _cpu_share() -> int:

@@ -319,6 +319,20 @@ class TestRunExperiment:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
 
+    def test_points_text_equals_the_per_row_writer(self, tmp_path):
+        points = np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
+                           [1e300, -1e300], [0.1, 1 / 3], [-7.0, 123456.789]])
+        per_row = tmp_path / "per_row.txt"
+        with open(per_row, "w") as f:
+            for x, y in points:
+                f.write(f"{float(x)!r} {float(y)!r}\n")
+        joined = tmp_path / "joined.txt"
+        with open(joined, "w") as f:
+            flowlab.cli._write_points(f, points)
+        assert joined.read_bytes() == per_row.read_bytes()
+        assert joined.read_text().splitlines()[:2] == [
+            "-0.0 0.0", "5e-324 -2.2250738585072014e-308"]
+
     def test_adversarial_method_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, method="ota+adv", iterations=10)
         summary = run_experiment(cfg)
@@ -488,6 +502,41 @@ class TestSeedPool:
         else:
             assert int(blas) == threads
             assert in_process == str(int(cpus) == 1)
+
+    def test_blas_lookup_once_count_asked_each_call(self):
+        # a child pinned to one BLAS thread: the count follows a runtime
+        # openblas_set_num_threads, and /proc/self/maps is read once
+        script = """
+import builtins, ctypes, json, flowlab, flowlab.netcore as core
+real_open, reads = builtins.open, []
+def counting_open(file, *args, **kwargs):
+    reads.append(file)
+    return real_open(file, *args, **kwargs)
+builtins.open = counting_open
+before = [core._blas_threads() for _ in range(3)]
+builtins.open = real_open
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "openblas" in line}
+for path in sorted(paths):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_set_num_threads64_",
+                   "scipy_openblas_set_num_threads",
+                   "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, symbol):
+            getattr(lib, symbol)(2)
+            break
+builtins.open = counting_open
+after = core._blas_threads()
+print(json.dumps([before, after, reads.count("/proc/self/maps")]))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(flowlab.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert json.loads(out) == [[1, 1, 1], 2, 1]
 
     def test_traced_process_stays_in_process(self, monkeypatch):
         two_cpus(monkeypatch)

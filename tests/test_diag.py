@@ -30,36 +30,28 @@ def w2_bruteforce(a, b):
     return np.sqrt(best)
 
 
-def energy_permutation_test_dense(a, b, n_permutations=1000, seed=0):
-    """Reference: the energy permutation test over the whole (2n)^2
-    distance matrix, as flowlab computed it before the row-block loop."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def energy_permutation_oracle(a, b, n_permutations=1000, seed=0):
+    """Reference: the energy statistic of the observed labels and of each
+    of the permutation test's label draws, from float64 distances taken
+    in row blocks and the textbook V-statistic x'Dx, x'Dy, y'Dy."""
     n = len(a)
     pooled = np.vstack([a, b])
-    D = cdist(pooled, pooled).astype(np.float32)
-    s_tot = float(D.sum(dtype=np.float64))
-
-    def stat_from_saa(s_aa, colsum):
-        s_ab = colsum - s_aa
-        s_bb = s_tot - 2.0 * colsum + s_aa
-        return (2.0 * s_ab - s_aa - s_bb) / n ** 2
-
-    mask = np.zeros(2 * n, dtype=np.float32)
-    mask[:n] = 1.0
-    r = D @ mask
-    observed = stat_from_saa(float(mask @ r), float(r.sum(dtype=np.float64)))
-
     rng = np.random.default_rng(seed)
-    X = np.zeros((2 * n, n_permutations), dtype=np.float32)
+    X = np.zeros((2 * n, n_permutations + 1))
+    X[:n, 0] = 1.0
     for p in range(n_permutations):
-        X[rng.permutation(2 * n)[:n], p] = 1.0
-    R = D @ X
-    s_aa = np.einsum("ip,ip->p", X, R, dtype=np.float64)
-    colsum = R.sum(axis=0, dtype=np.float64)
-    stats = stat_from_saa(s_aa, colsum)
-    p_value = float((1 + np.sum(stats >= observed)) / (1 + n_permutations))
-    return observed, p_value
+        X[rng.permutation(2 * n)[:n], p + 1] = 1.0
+    s_aa, s_ab, s_bb = (np.zeros(n_permutations + 1) for _ in range(3))
+    for i in range(0, 2 * n, 256):
+        D = cdist(pooled[i:i + 256], pooled)
+        x = X[i:i + 256]
+        DX = D @ X
+        DY = D.sum(axis=1)[:, None] - DX  # D @ (1 - X)
+        s_aa += (x * DX).sum(axis=0)
+        s_ab += (x * DY).sum(axis=0)
+        s_bb += ((1.0 - x) * DY).sum(axis=0)
+    stats = (2.0 * s_ab - s_aa - s_bb) / n ** 2
+    return stats[0], stats[1:]
 
 
 ORACLE_NS = (1, 5, 512, 1000, 1024, 2049, 3001, 4096)
@@ -81,44 +73,51 @@ def oracle_points(n, kind):
     return a, b
 
 
-def oracle_results():
-    """(n, P, kind, dense, blocked) for every oracle case."""
+def oracle_results(n):
+    """(P, kind, oracle statistic, oracle permutation statistics, result)
+    for every oracle case of n."""
     rows = []
-    for n, P, kind in itertools.product(ORACLE_NS, ORACLE_PERMUTATIONS,
-                                        ORACLE_POINT_SETS):
+    for P, kind in itertools.product(ORACLE_PERMUTATIONS, ORACLE_POINT_SETS):
         a, b = oracle_points(n, kind)
-        rows.append((n, P, kind,
-                     energy_permutation_test_dense(a, b, P, seed=n),
+        rows.append((P, kind, *energy_permutation_oracle(a, b, P, seed=n),
                      energy_permutation_test(a, b, P, seed=n)))
     return rows
 
 
-# n = 200 fits one block. Above it, blocks are 512, 256 and 128 rows high
-# at shares 1, 2 and 3. n = 992's 1984 rows leave a partial last block,
-# and each block holds whole np.getbufsize() = 8192-distance summation
-# chunks; n = 1001's blocks of 2002-distance rows never do, so a chunk
-# runs across each block's edge.
+# Blocks are 128 rows high, two 64-row units, which shares 2 and 3 split
+# one unit per thread. n = 200's 160,000 distances run on the calling
+# thread at every share. n = 992's 1984 rows leave a last block of one
+# unit, and n = 1001's 2002 rows one of a unit and 18 rows.
 SHARE_NS = (200, 992, 1001)
 
 
 def share_results():
-    """(share, n, result, ran on the calling thread, blocks) for each share
-    in 1-3 and n in SHARE_NS. Run it in a child process: it replaces diag's
-    share rule by the share, and diag's cdist by one that records threads."""
-    calling, threads, cdist_ = threading.get_ident(), [], flowlab.diag.cdist
+    """(share, n, result, sums, ran on the calling thread, widths,
+    distances) for each share in 1-3 and n in SHARE_NS: the test's
+    result, _triangle_sums of 5 random label columns, and over every
+    cdist call the widths it ran to and the distances it made. Run it in
+    a child process: it replaces diag's share rule by the share, and
+    diag's cdist by one that records its calls."""
+    calling, calls, cdist_ = threading.get_ident(), [], flowlab.diag.cdist
 
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return cdist_(*args, **kwargs)
+    def recorded(xa, xb, *args, **kwargs):
+        calls.append((threading.get_ident(), len(xa), len(xb)))
+        return cdist_(xa, xb, *args, **kwargs)
 
     flowlab.diag.cdist = recorded
     rows = []
     for share, n in itertools.product((1, 2, 3), SHARE_NS):
         flowlab.diag._cpu_share = lambda: share
-        threads.clear()
         a, b = oracle_points(n, "scaled")
+        labels = np.random.default_rng(n).random((2 * n, 5)) < 0.5
+        sums = flowlab.diag._triangle_sums(np.vstack([a, b]),
+                                           labels.astype(np.float32))
+        calls.clear()
         result = energy_permutation_test(a, b, 50, seed=n)
-        rows.append((share, n, result, calling in threads, len(threads)))
+        rows.append((share, n, result, [sums[0], sums[1], list(sums[2])],
+                     any(t == calling for t, _, _ in calls),
+                     sorted({width for _, _, width in calls}),
+                     sum(m * width for _, m, width in calls)))
     return rows
 
 
@@ -135,14 +134,6 @@ def pinned_child(call):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=600).stdout
     return json.loads(out)
-
-
-@pytest.fixture(scope="module")
-def oracle_rows():
-    # The dense reference itself changes with the BLAS thread count at some
-    # n, so both run in a pinned child process
-    return {(n, P, kind): (tuple(dense), tuple(blocked))
-            for n, P, kind, dense, blocked in pinned_child("oracle_results")}
 
 
 def traced_peak_bytes(n):
@@ -288,23 +279,57 @@ class TestEnergyPermutationTest:
                                     n_permutations)
 
     @pytest.mark.parametrize("n", ORACLE_NS)
-    def test_bit_identical_to_dense_reference(self, oracle_rows, n):
-        for P, kind in itertools.product(ORACLE_PERMUTATIONS,
-                                         ORACLE_POINT_SETS):
-            dense, blocked = oracle_rows[(n, P, kind)]
-            assert blocked == dense, (P, kind)
+    def test_matches_float64_oracle(self, n):
+        # the observed statistic sums float64 distances; the permutations'
+        # come from float32 products, so a permutation whose statistic
+        # lies within the float32 band of the observed one is a tie that
+        # may fall either way (n = 5 has many)
+        for P, kind, expected, perms, (stat, p) in oracle_results(n):
+            band = 3.9e-4 * abs(expected)
+            assert abs(stat - expected) <= 1e-9 * abs(expected), (P, kind)
+            above = np.sum(perms > expected + band)
+            near = np.sum(np.abs(perms - expected) <= band)
+            count = round(p * (1 + P)) - 1  # permutations at or above
+            assert above <= count <= above + near, (P, kind)
+
+    def test_statistic_does_not_depend_on_permutation_count(self):
+        a, b = oracle_points(1001, "scaled")
+        stats = {energy_permutation_test(a, b, P, seed=3)[0]
+                 for P in (1, 7, 200)}
+        assert len(stats) == 1
+
+    def test_rows_longer_than_the_cdist_scratch(self, monkeypatch):
+        # rows of 2n > CDIST_ELEMENTS distances, as at n > 32768 by default,
+        # are computed one whole row at a time
+        a, b = oracle_points(20, "gaussian")
+        default = energy_permutation_test(a, b, 50, seed=4)
+        monkeypatch.setattr(flowlab.diag, "CDIST_ELEMENTS", 16)
+        stat, p = energy_permutation_test(a, b, 50, seed=4)
+        assert (stat, p) == default
+        expected, perms = energy_permutation_oracle(a, b, 50, seed=4)
+        assert abs(stat - expected) <= 1e-9 * abs(expected)
+        band = 3.9e-4 * abs(expected)
+        above = np.sum(perms > expected + band)
+        near = np.sum(np.abs(perms - expected) <= band)
+        assert above <= round(p * 51) - 1 <= above + near
 
     def test_python_thread_count_does_not_change_bits(self):
         rows = pinned_child("share_results")
         for n in SHARE_NS:
-            results = {share: tuple(result)
-                       for share, m, result, _, _ in rows if m == n}
+            results = {share: (tuple(result), sums, widths, distances)
+                       for share, m, result, sums, _, widths, distances
+                       in rows if m == n}
             assert results[2] == results[3] == results[1], n
-        for share, n, _, on_calling_thread, blocks in rows:
-            threaded = share > 1 and blocks > 1
+        for share, n, _, _, on_calling_thread, _, _ in rows:
+            threaded = share > 1 and n > 200
             assert on_calling_thread != threaded, (share, n)
-        assert [blocks for share, n, *_, blocks in rows if n == 992] == [
-            4, 8, 16]
+        # the fixed partition: 128-row blocks, each to the columns from its
+        # own first row on, at every share
+        for _, n, _, _, _, widths, distances in rows:
+            starts = range(0, 2 * n, 128)
+            assert widths == sorted(2 * n - i0 for i0 in starts)
+            assert distances == sum(min(128, 2 * n - i0) * (2 * n - i0)
+                                    for i0 in starts)
 
     def test_threads_share_one_block_of_memory(self, monkeypatch):
         peaks = {}
@@ -323,6 +348,11 @@ class TestEnergyPermutationTest:
         for a, b in ((finite, broken), (broken, finite)):
             with pytest.raises(ValueError, match="finite"):
                 energy_permutation_test(a, b, 20)
+
+    def test_memory_without_the_product_matrix(self):
+        # the (2n, P) float32 product matrix (6.25 MiB here) is gone; the
+        # peak was 26,034,941 bytes with it
+        assert traced_peak_bytes(4096) <= 26_034_941 - 2 * 4096 * 200 * 4
 
     def test_memory_linear_in_n(self):
         # the whole distance matrix would take 192 MiB at n = 2048 and grow
