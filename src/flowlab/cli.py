@@ -275,8 +275,7 @@ def map_seeds(fn, items) -> list:
     Every worker is joined before this returns.
     """
     items = list(items)
-    serial = len(items) <= 1 or _traced()
-    workers = 1 if serial else min(len(items), netcore._cpu_share())
+    workers = 1 if _traced() else min(len(items), netcore._cpu_share())
     if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),

@@ -44,6 +44,8 @@ def w2_exact_small(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b):
         raise ValueError("point sets must have equal size")
+    if len(a) == 0:
+        raise ValueError("point sets must be nonempty")
     if len(a) > W2_MAX_POINTS:
         raise ValueError(f"at most {W2_MAX_POINTS} points (exact assignment)")
     cost = cdist(a, b, metric="sqeuclidean")
@@ -128,40 +130,36 @@ def _triangle_sums(pooled, X):
     sums = np.empty((4, rows))
     Yd, Yo = (np.empty((rows, P), dtype=np.float32) for _ in range(2))
 
-    def part(i0, m, r0, r1, t):
-        # rows r0:r1 of the m-row block at i0, through scratch t; a
-        # thread's body calls no public flowlab function, whose tracer
+    def unit(i0, m, u0):
+        # rows u0:u0 + ENERGY_UNIT of the m-row block at i0, through
+        # scratch row t: a block run on threads has at most share units;
+        # a thread's body calls no public flowlab function, whose tracer
         # keeps one span stack per process
+        u1 = min(u0 + ENERGY_UNIT, m)
         k = N - i0
         D = dist[:m * k].reshape(m, k)
         h = min(max(n - i0, 0), k)
         cuts = (0, min(m, h), m, max(m, h), k)
         step = max(1, CDIST_ELEMENTS // k)
-        for c0 in range(r0, r1, step):
-            c1 = min(c0 + step, r1)
+        t = u0 // ENERGY_UNIT % share
+        for c0 in range(u0, u1, step):
+            c1 = min(c0 + step, u1)
             D64 = scratch[t, :(c1 - c0) * k].reshape(c1 - c0, k)
             cdist(pooled[i0 + c0:i0 + c1], pooled[i0:], out=D64)
             for s in range(4):
                 np.sum(D64[:, cuts[s]:cuts[s + 1]], axis=1,
                        out=sums[s, c0:c1])
             np.copyto(D[c0:c1], D64)
-        for u0 in range(r0, r1, ENERGY_UNIT):
-            u1 = min(u0 + ENERGY_UNIT, r1)
-            np.matmul(D[u0:u1, :m], X[i0:i0 + m], out=Yd[u0:u1])
-            np.matmul(D[u0:u1, m:], X[i0 + m:], out=Yo[u0:u1])
+        np.matmul(D[u0:u1, :m], X[i0:i0 + m], out=Yd[u0:u1])
+        np.matmul(D[u0:u1, m:], X[i0 + m:], out=Yo[u0:u1])
 
     s_obs, s_tot, s_perm = 0.0, 0.0, np.zeros(P)
     w = np.empty((rows, P))
     with ThreadPoolExecutor(share) as pool:
+        run = pool.map if share > 1 else map
         for i0 in starts:
             m = min(rows, N - i0)
-            if share == 1:
-                part(i0, m, 0, m, 0)
-            else:  # a unit per thread
-                units = range(0, m, ENERGY_UNIT)
-                list(pool.map(lambda t: part(
-                    i0, m, units[t], min(units[t] + ENERGY_UNIT, m), t),
-                    range(len(units))))
+            list(run(lambda u0: unit(i0, m, u0), range(0, m, ENERGY_UNIT)))
             da, db, oa, ob = sums[:, :m]
             r = da + db + oa + ob
             s_tot += (r + oa + ob).sum()
@@ -190,8 +188,8 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
     (boundaries, means, standard errors); empty for K = 1 (no interior
     boundary to re-initialize at).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if grid.n_stages == 1:
         return np.array([]), np.array([]), np.array([])
     rng = np.random.default_rng(seed)
@@ -262,6 +260,8 @@ def expected_velocity_residual(field_, spec: MixtureSpec, sigma: float,
     """
     if not SIGMA_FLOOR <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [{SIGMA_FLOOR}, 1]")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     z0 = sample_mixture(spec, n, rng)
     eps = rng.standard_normal((n, 2))

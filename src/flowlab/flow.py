@@ -62,11 +62,6 @@ def default_benchmark() -> MixtureSpec:
                        np.array([0.3, 0.3]))
 
 
-def point_mass(mu) -> MixtureSpec:
-    return MixtureSpec(np.array([1.0]), np.asarray(mu, dtype=np.float64).reshape(1, 2),
-                       np.array([0.0]))
-
-
 def sample_mixture(spec: MixtureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the mixture, deterministic given the rng state."""
     comp = rng.choice(len(spec.weights), size=n, p=spec.weights)
@@ -144,17 +139,12 @@ def analytic_velocity(spec: MixtureSpec, z, sigma) -> np.ndarray:
     return v[0] if single else v
 
 
-def time_features(sigma):
-    """(sigma, sin 2*pi*sigma, cos 2*pi*sigma) conditioning features."""
-    s = np.asarray(sigma, dtype=np.float64)
-    return np.stack([s, np.sin(2.0 * np.pi * s), np.cos(2.0 * np.pi * s)], axis=-1)
-
-
 def field_features(z, sigma):
-    """Network input: spatial coordinates plus time features."""
+    """Network input: z plus (sigma, sin 2*pi*sigma, cos 2*pi*sigma)."""
     z = np.asarray(z, dtype=np.float64)
     s = np.broadcast_to(np.asarray(sigma, dtype=np.float64), z.shape[:-1])
-    return np.concatenate([z, time_features(s)], axis=-1)
+    t = np.stack([s, np.sin(2.0 * np.pi * s), np.cos(2.0 * np.pi * s)], axis=-1)
+    return np.concatenate([z, t], axis=-1)
 
 
 class AnalyticField:

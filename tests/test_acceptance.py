@@ -17,9 +17,9 @@ from flowlab.diag import (energy_permutation_test, expected_velocity_residual,
                           w2_exact_small)
 from flowlab.distill import (default_grid, infer_few_step, rollout,
                              train_student)
-from flowlab.flow import (AnalyticField, TrainConfig, analytic_velocity,
-                          default_benchmark, interpolate, ode_solve,
-                          point_mass, sample_mixture, solve_on_grid,
+from flowlab.flow import (AnalyticField, MixtureSpec, TrainConfig,
+                          analytic_velocity, default_benchmark, interpolate,
+                          ode_solve, sample_mixture, solve_on_grid,
                           train_flow_matching)
 from flowlab.netcore import (MlpSpec, backward, forward, forward_with_hidden,
                              init_params)
@@ -149,7 +149,8 @@ def test_criterion_06_teacher_trajectory_mismatch():
     _, means, _ = teacher_trajectory_divergence(AnalyticField(SPEC), grid,
                                                 1024, seed=0)
     _, means_pm, _ = teacher_trajectory_divergence(
-        AnalyticField(point_mass([2.0, 0.0])), grid, 1024, seed=0)
+        AnalyticField(MixtureSpec([1.0], [2.0, 0.0], [0.0])), grid, 1024,
+        seed=0)
     ok = (means[1] > 0.05 and bool(np.all(np.diff(means) > 0))
           and bool(np.all(means_pm <= 1e-9)))
     elapsed = time.time() - t0
@@ -161,7 +162,7 @@ def test_criterion_06_teacher_trajectory_mismatch():
 def test_criterion_07_pointmass_equivalence():
     t0 = time.time()
     mu = np.array([1.0, -0.5])
-    teacher = AnalyticField(point_mass(mu))
+    teacher = AnalyticField(MixtureSpec([1.0], mu, [0.0]))
     grid = default_grid(4)
     rng = np.random.default_rng(4)
     eps = rng.standard_normal((1024, 2))

@@ -17,8 +17,8 @@ from flowlab.diag import (energy_distance, energy_permutation_test,
                           expected_velocity_residual, interstage_distance,
                           teacher_trajectory_divergence, w2_exact_small)
 from flowlab.distill import default_grid, rollout, train_student
-from flowlab.flow import (AnalyticField, TrainConfig, default_benchmark,
-                          interpolate, point_mass)
+from flowlab.flow import (AnalyticField, MixtureSpec, TrainConfig,
+                          default_benchmark, interpolate)
 
 
 def w2_bruteforce(a, b):
@@ -193,6 +193,8 @@ class TestW2Exact:
             w2_exact_small(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             w2_exact_small(np.zeros((300, 2)), np.zeros((300, 2)))
+        with pytest.raises(ValueError, match="nonempty"):
+            w2_exact_small(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestEnergyDistance:
@@ -383,7 +385,7 @@ class TestTrajectoryDivergence:
     def test_point_mass_no_divergence(self):
         # straight teacher trajectories: re-initializing on the chord is a
         # no-op, so the gap vanishes at every boundary
-        teacher = AnalyticField(point_mass([1.0, -0.5]))
+        teacher = AnalyticField(MixtureSpec([1.0], [1.0, -0.5], [0.0]))
         _, means, _ = teacher_trajectory_divergence(teacher, default_grid(4),
                                                     64, seed=0)
         assert np.all(means <= 1e-9)
@@ -470,4 +472,16 @@ class TestVelocityResidual:
         with pytest.raises(ValueError):
             expected_velocity_residual(AnalyticField(default_benchmark()),
                                        default_benchmark(), 0.0, 10)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("diagnostic", [
+    lambda n: teacher_trajectory_divergence(
+        AnalyticField(default_benchmark()), default_grid(4), n),
+    lambda n: expected_velocity_residual(
+        AnalyticField(default_benchmark()), default_benchmark(), 0.5, n),
+], ids=["divergence", "velocity_residual"])
+def test_standard_error_needs_two_points(diagnostic, n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        diagnostic(n)
 

@@ -11,7 +11,7 @@ from flowlab.distill import (StageGrid, default_grid, distill_grads,
                              train_student, training_batches)
 from flowlab.flow import (SIGMA_FLOOR, AnalyticField, LearnedField,
                           MixtureSpec, TrainConfig, default_benchmark,
-                          field_features, interpolate, ode_solve, point_mass,
+                          field_features, interpolate, ode_solve,
                           sample_mixture, train_flow_matching)
 from flowlab.sched import SAMPLERS
 from flowlab.netcore import MlpSpec, TrainingError, forward, init_params
@@ -146,7 +146,7 @@ class TestPointMassEquivalence:
         # a point mass gives exactly straight teacher trajectories, so the
         # off-trajectory and on-trajectory constructions coincide
         mu = np.array([1.0, -0.5])
-        teacher = AnalyticField(point_mass(mu))
+        teacher = AnalyticField(MixtureSpec([1.0], mu, [0.0]))
         grid = default_grid(4)
         eps = np.random.default_rng(6).standard_normal((16, 2))
         z0 = np.broadcast_to(mu, (16, 2))
@@ -417,11 +417,11 @@ class TestTrainStudent:
         # straight trajectories: a trained 2-stage student should map noise
         # very close to the point mass in 2 Euler steps
         mu = np.array([1.0, -0.5])
-        teacher = AnalyticField(point_mass(mu))
+        spec = MixtureSpec([1.0], mu, [0.0])
+        teacher = AnalyticField(spec)
         grid = default_grid(2)
         cfg = TrainConfig(iterations=1200, batch_size=128, seed=1)
-        student = train_student(teacher, point_mass(mu), "perflow", grid,
-                                cfg=cfg)
+        student = train_student(teacher, spec, "perflow", grid, cfg=cfg)
         eps = np.random.default_rng(2).standard_normal((128, 2))
         out = infer_few_step(student, grid, eps)
         assert np.mean(np.linalg.norm(out - mu, axis=1)) < 0.15

@@ -6,7 +6,7 @@ from flowlab.distill import StageGrid, rollout
 from flowlab.flow import (AnalyticField, MixtureSpec,
                           SIGMA_FLOOR, TrainConfig, analytic_velocity,
                           default_benchmark, interpolate, ode_solve,
-                          point_mass, sample_mixture, train_flow_matching)
+                          sample_mixture, train_flow_matching)
 from flowlab.netcore import MlpSpec
 
 
@@ -92,7 +92,7 @@ class TestMixtureSpec:
 
 class TestSampleData:
     def test_point_mass(self):
-        pts = sample_mixture(point_mass([1.5, -2.0]), 100,
+        pts = sample_mixture(MixtureSpec([1.0], [1.5, -2.0], [0.0]), 100,
                              np.random.default_rng(0))
         assert np.all(pts == [1.5, -2.0])
 
@@ -135,12 +135,12 @@ class TestInterpolate:
 
 class TestAnalyticVelocity:
     def test_point_mass_straight_field(self):
-        spec = point_mass([1.0, 0.0])
+        spec = MixtureSpec([1.0], [1.0, 0.0], [0.0])
         v = analytic_velocity(spec, np.array([0.5, 0.0]), 0.5)
         assert np.allclose(v, [-1.0, 0.0])
 
     def test_point_mass_zero_at_mean(self):
-        spec = point_mass([0.7, -0.3])
+        spec = MixtureSpec([1.0], [0.7, -0.3], [0.0])
         for sigma in (0.1, 0.5, 1.0):
             # at z = (1-sigma) mu + sigma * 0 ... the field vanishes at the
             # noised mean; at z = mu itself it is (mu - mu)/sigma = 0 only
@@ -150,7 +150,7 @@ class TestAnalyticVelocity:
             assert np.allclose(v, -np.array([0.7, -0.3]), atol=1e-12)
 
     def test_point_mass_at_mu_any_sigma(self):
-        spec = point_mass([1.0, 0.0])
+        spec = MixtureSpec([1.0], [1.0, 0.0], [0.0])
         # v = (z - mu)/sigma, so at z = mu the field is zero
         for sigma in (0.2, 0.5, 0.9):
             v = analytic_velocity(spec, np.array([1.0, 0.0]), sigma)
@@ -243,7 +243,7 @@ class TestComponentMajorBits:
 class TestOdeSolve:
     def test_point_mass_exact_any_substeps(self):
         mu = np.array([1.0, -0.5])
-        field = AnalyticField(point_mass(mu))
+        field = AnalyticField(MixtureSpec([1.0], mu, [0.0]))
         eps = np.array([0.3, 0.8])
         for n in (1, 7, 64):
             end = ode_solve(field, eps, 1.0, 0.0, n)
@@ -323,7 +323,7 @@ class TestTrainFlowMatching:
 
     def test_point_mass_recovers_straight_field(self):
         mu = np.array([1.0, -0.5])
-        spec = point_mass(mu)
+        spec = MixtureSpec([1.0], mu, [0.0])
         cfg = TrainConfig(iterations=1500, batch_size=128, seed=0)
         field = train_flow_matching(spec, cfg=cfg)
         rng = np.random.default_rng(1)
