@@ -196,8 +196,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _write_points(f, points):
-    f.write("".join(f"{x!r} {y!r}\n" for x, y in
-                    np.asarray(points, dtype=np.float64).tolist()))
+    points = np.asarray(points, dtype=np.float64)
+    for i in range(0, len(points), 4096):
+        f.write("".join(f"{x!r} {y!r}\n" for x, y in
+                        points[i:i + 4096].tolist()))
 
 
 def _train_one(config: ExperimentConfig, seed: int, history: list):

@@ -26,6 +26,10 @@ SIGMA_FLOOR = 1e-3
 # the student net's widths and the discriminator backbone
 DEFAULT_WIDTHS = (5, 64, 64, 64, 2)
 
+# rows per pass of a LearnedField and an AnalyticField: each temporary of a
+# pass (the MLP's 64-wide tape, the analytic field's columns) is <= 128 KiB
+FIELD_ROWS, ANALYTIC_ROWS = 256, 16384
+
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -147,6 +151,21 @@ def field_features(z, sigma):
     return np.concatenate([z, t], axis=-1)
 
 
+def _in_passes(f, z, sigma, rows):
+    """f(z, sigma) over a (B, 2) batch in passes of `rows` rows, the last
+    taking the rest too (rows to 2 rows - 1), written into one (B, 2)
+    output; sigma is a scalar or per row. Any other batch is one f call."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or len(z) < 2 * rows:
+        return f(z, sigma)
+    sig = np.asarray(sigma, dtype=np.float64)
+    sig = np.broadcast_to(sig, z.shape[:1]) if sig.ndim else sig
+    out, starts = np.empty((len(z), 2)), range(0, len(z) - rows + 1, rows)
+    for start, end in zip(starts, [*starts[1:], len(z)]):
+        out[start:end] = f(z[start:end], sig[start:end] if sig.ndim else sig)
+    return out
+
+
 class AnalyticField:
     """Closed-form teacher; frozen below SIGMA_FLOOR."""
 
@@ -155,12 +174,16 @@ class AnalyticField:
 
     def __call__(self, z, sigma):
         sig = np.clip(np.asarray(sigma, dtype=np.float64), SIGMA_FLOOR, 1.0)
-        return analytic_velocity(self.spec, z, sig)
+        return _in_passes(lambda zp, sp: analytic_velocity(self.spec, zp, sp),
+                          z, sig, ANALYTIC_ROWS)
 
 
 class LearnedField:
     """MLP-backed velocity field of field_features, evaluated at the sigma
-    it is given, as training evaluates the student."""
+    it is given, as training evaluates the student. A large batch runs in
+    FIELD_ROWS-row passes; below about 8,000 rows a pass gives its rows
+    the bits one whole-batch pass gives them, and from there on OpenBLAS
+    takes another GEMM path, which the passes never reach."""
 
     def __init__(self, params: MlpParams):
         widths = params.spec.widths
@@ -170,7 +193,9 @@ class LearnedField:
         self.params = params
 
     def __call__(self, z, sigma):
-        return forward(self.params, field_features(z, sigma))
+        return _in_passes(
+            lambda zp, sp: forward(self.params, field_features(zp, sp)),
+            z, sigma, FIELD_ROWS)
 
 
 def solve_on_grid(field, z, sigmas):

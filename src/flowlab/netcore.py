@@ -25,11 +25,10 @@ class TrainingError(RuntimeError):
 
 
 # exp(-x) overflows to inf for x below about -709, and silu and its
-# derivative are still right there (s = 0); a blown-up run reports one
-# error, not numpy warnings
-@np.errstate(over="ignore")
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+# derivative are still right there (s = 0); a diverged net's passes
+# overflow and make NaNs, which adam_step, fit and infer_few_step turn into
+# one TrainingError, so numpy's warnings are off in both passes
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,7 @@ class Tape:
     hidden: list      # post-activation hiddens (the feature layers)
 
 
+@_quiet
 def _trace(params: MlpParams, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.widths[0]:
@@ -115,7 +115,7 @@ def _trace(params: MlpParams, x):
     pre, sigmoid, hidden, h = [], [], [], x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         pre.append(h @ w + b)
-        sigmoid.append(_sigmoid(pre[-1]))
+        sigmoid.append(1.0 / (1.0 + np.exp(-pre[-1])))
         h = pre[-1] * sigmoid[-1]
         hidden.append(h)
     y = h @ params.weights[-1] + params.biases[-1]  # last layer affine
@@ -136,6 +136,7 @@ def forward_with_hidden(params: MlpParams, x):
     return _trace(params, x)
 
 
+@_quiet
 def backward(params: MlpParams, tape: Tape, out_grad, hidden_grads=None):
     """Reverse-mode gradients under the given output cotangent, pulled back
     through a tape that a forward pass recorded under these params.

@@ -22,8 +22,8 @@ def shift_sigma(sigma, shift: float):
     at s = 1. Accepts scalars or arrays.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    if shift <= 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    if not 0 < shift < np.inf:
+        raise ValueError(f"shift must be positive and finite, got {shift}")
     if np.any(sigma < 0) or np.any(sigma > 1):
         raise ValueError("sigma must lie in [0, 1]")
     num = shift * sigma

@@ -320,8 +320,10 @@ class TestRunExperiment:
                     == (tmp_path / "b" / name).read_bytes()), name
 
     def test_points_text_equals_the_per_row_writer(self, tmp_path):
-        points = np.array([[-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
-                           [1e300, -1e300], [0.1, 1 / 3], [-7.0, 123456.789]])
+        # 4,097 points: one full 4,096-row piece of the writer, then 1 row
+        points = np.random.default_rng(0).normal(0.0, 1e3, (4097, 2))
+        points[:5] = [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
+                      [1e300, -1e300], [0.1, 1 / 3], [-7.0, 123456.789]]
         per_row = tmp_path / "per_row.txt"
         with open(per_row, "w") as f:
             for x, y in points:
@@ -679,6 +681,22 @@ class TestMainCli:
         assert one_config_error(capsys).startswith(f"config error: {named}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,shift", [
+        (["train", "--shift", "nan"], "nan"),
+        (["schedule", "print", "--shift", "inf"], "inf"),
+    ], ids=["train-nan", "schedule-inf"])
+    def test_non_finite_shift_names_the_shift(self, tmp_path, capsys, argv,
+                                              shift):
+        # NaN passed the old shift <= 0 test and failed later, at the
+        # schedule's first sigma
+        out = tmp_path / "run"
+        if argv[0] != "schedule":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 1
+        assert one_config_error(capsys) == (
+            f"config error: shift must be positive and finite, got {shift}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, named", [
         (["train", "--config", "{dir}"], "{dir}"),
         (["train", "--iters", "0", "--out", "{file}/x"], "{file}/x"),
@@ -839,6 +857,21 @@ class TestMainCli:
             assert row["error"].endswith(
                 ", beyond 450 = 100 x (max |mu| + 5 max s + 1)")
             assert not (out / f"samples_seed{seed}.txt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_diverging_net_prints_one_line(self, tmp_path, capsys):
+        # lr 1e300 overflows the first layer's GEMM and makes NaNs in the
+        # forward and backward passes; the user sees one error line
+        out = tmp_path / "run"
+        rc = main(["train", "--lr", "1e300", "--iters", "5", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "training error: one or more seeds failed; partial report written"]
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["seeds"]["0"] == {
+            "status": "failed", "error": "loss diverged at iteration 1"}
 
     def test_diagnose_reports_divergence(self, tmp_path, capsys):
         rc = main(["diagnose", "--iters", "1"])

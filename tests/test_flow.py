@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab.distill import StageGrid, rollout
-from flowlab.flow import (AnalyticField, MixtureSpec,
+from flowlab.flow import (ANALYTIC_ROWS, AnalyticField, DEFAULT_WIDTHS,
+                          FIELD_ROWS, LearnedField, MixtureSpec,
                           SIGMA_FLOOR, TrainConfig, analytic_velocity,
-                          default_benchmark, interpolate, ode_solve,
-                          sample_mixture, train_flow_matching)
-from flowlab.netcore import MlpSpec
+                          default_benchmark, field_features, interpolate,
+                          ode_solve, sample_mixture, train_flow_matching)
+from flowlab.netcore import MlpSpec, forward, init_params
 
 
 def mc_posterior_velocity(spec, z, sigma, n=10 ** 6, seed=0):
@@ -238,6 +241,70 @@ class TestComponentMajorBits:
                 assert_same_bits(analytic_velocity(spec, z[i:i + 1], s_i),
                                  v[i:i + 1])
                 assert_same_bits(analytic_velocity(spec, z[i], s_i), v[i])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFieldPasses:
+    """Both fields evaluate a large batch in fixed row passes, with the bits
+    of one pass over the whole batch below about 8,000 rows."""
+
+    def learned(self, seed=0):
+        return LearnedField(init_params(MlpSpec(DEFAULT_WIDTHS, seed)))
+
+    @pytest.mark.parametrize(
+        "n", [1, 255, 256, 257, 511, 512, 513, 1025, 4096, 4097, 6000])
+    def test_learned_equals_one_whole_batch_pass(self, n):
+        field, rng = self.learned(), np.random.default_rng(n)
+        z = rng.normal(0.0, 2.0, (n, 2))
+        for sig in (0.37, rng.uniform(SIGMA_FLOOR, 1.0, n)):
+            assert_same_bits(field(z, sig),
+                             forward(field.params, field_features(z, sig)))
+
+    def test_learned_pass_is_its_slice_alone(self):
+        # 20,000 = 78 x 256 + 32: 77 full passes, then one of 288 rows
+        n, field = 20_000, self.learned(1)
+        rng = np.random.default_rng(5)
+        z, sig = rng.normal(0.0, 2.0, (n, 2)), rng.uniform(SIGMA_FLOOR, 1.0, n)
+        ends = list(range(FIELD_ROWS, n - FIELD_ROWS + 1, FIELD_ROWS)) + [n]
+        assert len(ends) == 78 and n - ends[-2] == 288
+        for s in (0.6, sig):
+            v = field(z, s)
+            for start, end in zip([0] + ends[:-1], ends):
+                s_part = s[start:end] if np.ndim(s) else s
+                assert_same_bits(v[start:end], field(z[start:end], s_part))
+
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_analytic_equals_one_whole_batch_call(self, k):
+        n, rng = 100_000, np.random.default_rng(k)
+        spec = default_benchmark() if k == 2 else random_mixture(k, rng)
+        z = rng.normal(0.0, 3.0, (n, 2))
+        assert n > 2 * ANALYTIC_ROWS
+        for sig in (0.45, rng.uniform(SIGMA_FLOOR, 1.0, n)):
+            assert_same_bits(AnalyticField(spec)(z, sig),
+                             analytic_velocity(spec, z, sig))
+
+    def test_peak_memory_is_bounded(self):
+        # one whole-batch pass peaked at about 73 MiB (learned, 16,384
+        # rows) and 14.5 / 25 MiB (analytic, 100,000 rows, scalar / per-row
+        # sigma); the outputs are 0.25 and 1.5 MiB
+        rng = np.random.default_rng(2)
+        z = rng.normal(0.0, 2.0, (100_000, 2))
+        sig = rng.uniform(SIGMA_FLOOR, 1.0, 100_000)
+        learned = self.learned()
+        assert traced_peak(learned, z[:16_384], 0.5) < 4 * 2 ** 20
+        assert traced_peak(learned, z[:16_384], sig[:16_384]) < 4 * 2 ** 20
+        analytic = AnalyticField(default_benchmark())
+        assert traced_peak(analytic, z, 0.5) < 8 * 2 ** 20
+        assert traced_peak(analytic, z, sig) < 8 * 2 ** 20
 
 
 class TestOdeSolve:
