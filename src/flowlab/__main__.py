@@ -1,0 +1,4 @@
+"""`python -m flowlab`: the `flowlab` command line (`cli.main`)."""
+from .cli import main
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -27,8 +27,9 @@ from .diag import (W2_MAX_POINTS, check_bounded, energy_permutation_test,
                    expected_velocity_residual, interstage_distance,
                    teacher_trajectory_divergence, w2_exact_small)
 from .distill import StageGrid, default_grid, infer_few_step, train_student
-from .flow import (AnalyticField, LearnedField, MixtureSpec, TrainConfig,
-                   default_benchmark, sample_mixture, solve_on_grid)
+from .flow import (SIGMA_FLOOR, AnalyticField, LearnedField, MixtureSpec,
+                   TrainConfig, default_benchmark, sample_mixture,
+                   solve_on_grid)
 from . import netcore
 from .netcore import TrainingError, load_params, save_params
 from .sched import SAMPLERS, format_sigmas
@@ -515,6 +516,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         config = _config_from_args(args) if "config" in args else None
+        if args.command in ("train", "diagnose", "compare-methods"):
+            low = int(np.sum(config.grid().boundaries[1:-1] <= SIGMA_FLOOR))
+            if low > 1:  # the teacher is frozen below SIGMA_FLOOR
+                raise ConfigError(f"grid has {low} interior boundaries at or below "
+                                  f"SIGMA_FLOOR = {SIGMA_FLOOR}; at most 1 may be")
         if args.command == "schedule":
             with _config_errors():
                 grid = default_grid(args.steps, args.shift, sampler=args.sampler)

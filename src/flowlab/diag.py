@@ -24,13 +24,8 @@ from .netcore import TrainingError, _cpu_share
 W2_MAX_POINTS = 256
 # a student's samples stay within this multiple of max |mu| + 5 max s + 1
 SAMPLE_BOUND = 100.0
-# the energy test's rows per matrix product: every product has this
-# shape whatever the threads, whose number would otherwise change the
-# products' last bits
-ENERGY_UNIT = 64
-# its row blocks are two units high, or one unit once two would hold more
-# than this many float32 distances (4 MiB); it runs on threads only
-# above this many distances in all
+# the energy test's row blocks are 128 rows, halved while they hold more
+# than this many float32 distances (4 MiB); it runs threads above this many
 ENERGY_BLOCK_ELEMENTS = 2 ** 20
 # float64 distances each thread computes at once, before the float32 cast;
 # a row longer than this is computed whole
@@ -66,22 +61,20 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     """Two-sample energy-distance test; returns (statistic, p_value).
 
     With D the distance matrix of the 2n pooled points and x a 0/1 column
-    labelling n of them, the statistic is (4 x'D(1 - x) - 1'D1) / n^2;
-    the p-value ranks the observed labels among P random permutations,
-    one label column each of X. `_triangle_sums` forms the sums from D's
-    upper triangle; the observed statistic comes from float64 distances
-    and does not depend on P, the permutations' from float32 products
-    with X. Memory is X's 2n * P * 4 bytes plus one block of distances,
-    and the results are fixed by n and the BLAS thread count, whatever
-    the number of threads that run the blocks. Non-finite points raise
-    ValueError.
+    labelling n of them, the statistic is (4 x'D(1 - x) - 1'D1) / n^2 in
+    float64; it does not depend on P. The p-value ranks the observed
+    labels among P random ones, the columns of X, by the exact integers
+    x'D_q(1 - x) of `_triangle_sums`, ties counting against the observed
+    labels, so it is fixed by n, P, the seed and the points on any threads
+    or BLAS. Memory is X's 2n * P * 4 bytes plus one block of distances.
+    Non-finite points raise ValueError, and so does n > 2^22.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b):
         raise ValueError("permutation test assumes equal sample sizes")
-    if len(a) == 0:
-        raise ValueError("point sets must be nonempty")
+    if not 0 < len(a) <= 2 ** 22:
+        raise ValueError("point sets must be nonempty, of at most 2^22 points")
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -92,56 +85,55 @@ def energy_permutation_test(a, b, n_permutations: int = 1000, seed: int = 0):
     for p in range(n_permutations):
         X[rng.permutation(2 * n)[:n], p] = 1.0
 
-    s_obs, s_tot, s_perm = _triangle_sums(np.vstack([a, b]), X)
-    observed = float((4.0 * s_obs - s_tot) / n ** 2)
-    stats = (4.0 * s_perm - s_tot) / n ** 2
-    p_value = float((1 + np.sum(stats >= observed)) / (1 + n_permutations))
-    return observed, p_value
+    s_obs, s_tot, s_q = _triangle_sums(np.vstack([a, b]), X)
+    p_value = float((1 + np.sum(s_q[1:] >= s_q[0])) / (1 + n_permutations))
+    return float((4.0 * s_obs - s_tot) / n ** 2), p_value
 
 
 def _triangle_sums(pooled, X):
     """(x'D(1 - x) for x labelling the first half of pooled, 1'D1, and
-    x'D(1 - x) for each column x of X), D the pooled distance matrix.
+    x'D_q(1 - x) for that x, then for each column x of X), D the pooled
+    distance matrix and D_q = rint(D / q) its integers in units of q.
 
-    D's rows are cut into blocks whose height depends on len(pooled)
-    alone, and block I holds its distances to the columns from its own
-    first row on. With r_I those rows' sums, block I adds
-    x_I'(r_I - D_II x_I - 2 D_I,>I x_>I) + 1'D_I,>I x_>I to x'D(1 - x),
-    and 1'D_II 1 + 2 1'D_I,>I 1 to 1'D1. The observed labels take their
-    sums from the float64 distances, X its products D_II X_I and
-    D_I,>I X_>I from the float32 ones. The calling thread adds each
-    block's float64 sums in row order. The products run one unit of
-    ENERGY_UNIT rows at a time, and the units of a block run on as many
-    threads as netcore._cpu_share() allows (1 with the BLAS unpinned), so
-    the threads share one block's memory and no result depends on their
-    number.
+    D's rows are cut into blocks of 128 rows, halved while a block would
+    hold more than ENERGY_BLOCK_ELEMENTS distances, and block I holds its
+    distances to the columns from its own first row on. With r_I those
+    rows' sums, block I adds x_I'(r_I - D_II x_I - 2 D_I,>I x_>I) +
+    1'D_I,>I x_>I to x'D(1 - x), and 1'D_II 1 + 2 1'D_I,>I 1 to 1'D1:
+    from float64 distances, added block by block in row order, for the
+    first two sums, and from D_q's float32 products with X for the rest.
+    A block's rows split evenly over up to netcore._cpu_share() threads.
     """
     N, P = X.shape
     n = N // 2
-    rows = 2 * ENERGY_UNIT if 2 * ENERGY_UNIT * N <= ENERGY_BLOCK_ELEMENTS \
-        else ENERGY_UNIT
-    starts = range(0, N, rows)
-    share = min(_cpu_share(), rows // ENERGY_UNIT) \
-        if N * N > ENERGY_BLOCK_ELEMENTS else 1
+    # q: the smallest normal power of two with B / q <= 2^24 // N - 1, B
+    # twice the largest distance to pooled[0], which bounds every distance.
+    # A row of D_q sums below 2^24, so its float32 products with 0/1 labels,
+    # and the float64 sums after them, are exact integers in any order
+    bound = 2.0 * np.linalg.norm(pooled - pooled[0], axis=1).max()
+    frac, exp = np.frexp(bound / (2 ** 24 // N - 1))
+    scale = 1.0 / max(np.ldexp(1.0, exp - (frac == 0.5)), np.finfo(float).tiny)
+    rows = 128
+    while rows > 1 and rows * N > ENERGY_BLOCK_ELEMENTS:
+        rows //= 2
+    share = min(_cpu_share(), rows) if N * N > ENERGY_BLOCK_ELEMENTS else 1
     dist = np.empty(rows * N, dtype=np.float32)
     scratch = np.empty((share, max(CDIST_ELEMENTS, N)))
-    # each row's float64 distance sums over four column ranges: in the
-    # block's square or past it, to the first n points or to the rest
-    sums = np.empty((4, rows))
+    # each row's float64 distance sums in the block's square or past it, to
+    # the first n points or to the rest; then its D_q sums to either half
+    sums = np.empty((6, rows))
     Yd, Yo = (np.empty((rows, P), dtype=np.float32) for _ in range(2))
 
-    def unit(i0, m, u0):
-        # rows u0:u0 + ENERGY_UNIT of the m-row block at i0, through
-        # scratch row t: a block run on threads has at most share units;
+    def part(i0, m, t):
+        # thread t's rows of the m-row block at i0, through scratch row t;
         # a thread's body calls no public flowlab function, whose tracer
         # keeps one span stack per process
-        u1 = min(u0 + ENERGY_UNIT, m)
+        u0, u1 = t * m // share, (t + 1) * m // share
         k = N - i0
         D = dist[:m * k].reshape(m, k)
         h = min(max(n - i0, 0), k)
         cuts = (0, min(m, h), m, max(m, h), k)
         step = max(1, CDIST_ELEMENTS // k)
-        t = u0 // ENERGY_UNIT % share
         for c0 in range(u0, u1, step):
             c1 = min(c0 + step, u1)
             D64 = scratch[t, :(c1 - c0) * k].reshape(c1 - c0, k)
@@ -149,29 +141,27 @@ def _triangle_sums(pooled, X):
             for s in range(4):
                 np.sum(D64[:, cuts[s]:cuts[s + 1]], axis=1,
                        out=sums[s, c0:c1])
+            np.rint(np.multiply(D64, scale, out=D64), out=D64)
+            np.sum(D64[:, :h], axis=1, out=sums[4, c0:c1])
+            np.sum(D64[:, h:], axis=1, out=sums[5, c0:c1])
             np.copyto(D[c0:c1], D64)
         np.matmul(D[u0:u1, :m], X[i0:i0 + m], out=Yd[u0:u1])
         np.matmul(D[u0:u1, m:], X[i0 + m:], out=Yo[u0:u1])
 
-    s_obs, s_tot, s_perm = 0.0, 0.0, np.zeros(P)
-    w = np.empty((rows, P))
+    s_obs, s_tot, s_q = 0.0, 0.0, np.zeros(1 + P)
     with ThreadPoolExecutor(share) as pool:
         run = pool.map if share > 1 else map
-        for i0 in starts:
+        for i0 in range(0, N, rows):
             m = min(rows, N - i0)
-            list(run(lambda u0: unit(i0, m, u0), range(0, m, ENERGY_UNIT)))
-            da, db, oa, ob = sums[:, :m]
+            list(run(lambda t: part(i0, m, t), range(share)))
+            da, db, oa, ob, a_q, b_q = sums[:, :m]
             r = da + db + oa + ob
             s_tot += (r + oa + ob).sum()
             s_obs += (r - da - 2.0 * oa)[:max(0, n - i0)].sum() + oa.sum()
-            W = w[:m]
-            np.multiply(Yo[:m], -2.0, out=W)
-            W -= Yd[:m]
-            W += r[:, None]
-            W *= X[i0:i0 + m]
-            W += Yo[:m]
-            s_perm += W.sum(axis=0)
-    return s_obs, s_tot, s_perm
+            W = (a_q + b_q)[:, None] - Yd[:m] - 2.0 * Yo[:m]
+            s_q[1:] += (W * X[i0:i0 + m] + Yo[:m]).sum(axis=0)
+            s_q[0] += b_q[:max(0, n - i0)].sum()
+    return s_obs, s_tot, s_q
 
 
 def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,

@@ -578,6 +578,47 @@ class TestMainCli:
         assert out[-1] == "0"
         assert len(out) == 5
 
+    def test_python_dash_m(self):
+        # `python -m flowlab` is the installed `flowlab` command
+        src = str(Path(flowlab.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "flowlab", "schedule",
+                               "print", "--steps", "2"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1", "0.5", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--shift", "1e-300"],
+        ["train", "--shift", "1e-200"],
+        ["diagnose", "--shift", "1e-300"],
+        ["compare-methods", "--shift", "1e-300"],
+    ], ids=" ".join)
+    def test_grid_below_sigma_floor_rejected(self, tmp_path, capsys, argv):
+        # these grids' three interior boundaries (3e-300, 1e-300 and
+        # 3.3e-301 at 1e-300) all lie where the teacher is frozen, and a
+        # run reported three identical interstage rows as `ok`
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert one_config_error(capsys) == (
+            "config error: grid has 3 interior boundaries at or below "
+            "SIGMA_FLOOR = 0.001; at most 1 may be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # its last interior boundary, 0.001, is the floor itself
+        ["--scheduler", "original"],
+        # its last interior boundary is 2.5e-4
+        ["--scheduler", "original", "--shift", "0.5"],
+    ], ids=" ".join)
+    def test_grid_with_one_boundary_below_sigma_floor_accepted(
+            self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(flowlab.cli, "diagnose",
+                            lambda config, checkpoint=None: {})
+        assert main(["diagnose", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_grid_flag_defaults_are_the_training_grid(self, tmp_path, capsys,
                                                       monkeypatch):
         # schedule print and infer, without grid flags, use the grid a

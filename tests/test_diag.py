@@ -30,18 +30,39 @@ def w2_bruteforce(a, b):
     return np.sqrt(best)
 
 
-def energy_permutation_oracle(a, b, n_permutations=1000, seed=0):
-    """Reference: the energy statistic of the observed labels and of each
-    of the permutation test's label draws, from float64 distances taken
-    in row blocks and the textbook V-statistic x'Dx, x'Dy, y'Dy."""
-    n = len(a)
-    pooled = np.vstack([a, b])
+def quantum(pooled):
+    """The smallest power of two q with B / q <= 2^24 // len(pooled) - 1,
+    B twice the largest distance to pooled[0] (1 when B = 0)."""
+    bound = 2.0 * np.linalg.norm(pooled - pooled[0], axis=1).max()
+    limit = 2 ** 24 // len(pooled) - 1
+    q = 1.0
+    while bound / q > limit:
+        q *= 2.0
+    while bound > 0 and bound / (q / 2.0) <= limit:
+        q /= 2.0
+    return q
+
+
+def oracle_labels(n, n_permutations, seed):
+    """The observed labels, then the permutation test's label draws."""
     rng = np.random.default_rng(seed)
     X = np.zeros((2 * n, n_permutations + 1))
     X[:n, 0] = 1.0
     for p in range(n_permutations):
         X[rng.permutation(2 * n)[:n], p + 1] = 1.0
-    s_aa, s_ab, s_bb = (np.zeros(n_permutations + 1) for _ in range(3))
+    return X
+
+
+def energy_permutation_oracle(a, b, n_permutations=1000, seed=0):
+    """Reference, for the observed labels and then each of the permutation
+    test's label draws, from float64 distances D taken in row blocks: the
+    energy statistic by the textbook V-statistic x'Dx, x'Dy, y'Dy; x'Dy;
+    and x'D_q y with D_q = rint(D / quantum(pooled)), y = 1 - x."""
+    n = len(a)
+    pooled = np.vstack([a, b])
+    q = quantum(pooled)
+    X = oracle_labels(n, n_permutations, seed)
+    s_aa, s_ab, s_bb, s_q = (np.zeros(n_permutations + 1) for _ in range(4))
     for i in range(0, 2 * n, 256):
         D = cdist(pooled[i:i + 256], pooled)
         x = X[i:i + 256]
@@ -50,8 +71,15 @@ def energy_permutation_oracle(a, b, n_permutations=1000, seed=0):
         s_aa += (x * DX).sum(axis=0)
         s_ab += (x * DY).sum(axis=0)
         s_bb += ((1.0 - x) * DY).sum(axis=0)
-    stats = (2.0 * s_ab - s_aa - s_bb) / n ** 2
-    return stats[0], stats[1:]
+        D_q = np.rint(D / q)  # integers: every sum below is exact
+        s_q += (x * (D_q.sum(axis=1)[:, None] - D_q @ X)).sum(axis=0)
+    return (2.0 * s_ab - s_aa - s_bb) / n ** 2, s_ab, s_q
+
+
+def quantized_p_value(s_q):
+    """The permutation p-value of the observed labels' s_q[0] among the
+    draws' s_q[1:], ties counting against the observed labels."""
+    return (1 + np.sum(s_q[1:] >= s_q[0])) / len(s_q)
 
 
 ORACLE_NS = (1, 5, 512, 1000, 1024, 2049, 3001, 4096)
@@ -74,21 +102,24 @@ def oracle_points(n, kind):
 
 
 def oracle_results(n):
-    """(P, kind, oracle statistic, oracle permutation statistics, result)
-    for every oracle case of n."""
+    """(P, kind, oracle statistic, oracle p-value on the quantized
+    distances, result) for every oracle case of n."""
     rows = []
     for P, kind in itertools.product(ORACLE_PERMUTATIONS, ORACLE_POINT_SETS):
         a, b = oracle_points(n, kind)
-        rows.append((P, kind, *energy_permutation_oracle(a, b, P, seed=n),
+        stats, _, s_q = energy_permutation_oracle(a, b, P, seed=n)
+        rows.append((P, kind, stats[0], quantized_p_value(s_q),
                      energy_permutation_test(a, b, P, seed=n)))
     return rows
 
 
-# Blocks are 128 rows high, two 64-row units, which shares 2 and 3 split
-# one unit per thread. n = 200's 160,000 distances run on the calling
-# thread at every share. n = 992's 1984 rows leave a last block of one
-# unit, and n = 1001's 2002 rows one of a unit and 18 rows.
+# Blocks are 128 rows high, which shares 2 and 3 split into 64 and 42-43
+# rows per thread. n = 200's 160,000 distances run on the calling thread
+# at every share. n = 992's 1984 rows leave a last block of 64 rows, and
+# n = 1001's 2002 rows one of 82 rows.
 SHARE_NS = (200, 992, 1001)
+# n for the tests run under 1 and 2 BLAS threads
+BLAS_NS = (200, 1001, 4096)
 
 
 def share_results():
@@ -121,11 +152,18 @@ def share_results():
     return rows
 
 
-def pinned_child(call):
-    """json of this module's call() in a child process pinned to one BLAS
-    thread. JSON floats round-trip exactly."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+def blas_results():
+    """[n, statistic, p-value] of a 200-permutation test for each n in
+    BLAS_NS."""
+    return [[n, *energy_permutation_test(*oracle_points(n, "gaussian"), 200,
+                                         seed=n)] for n in BLAS_NS]
+
+
+def pinned_child(call, threads="1"):
+    """json of this module's call() in a child process pinned to `threads`
+    BLAS threads. JSON floats round-trip exactly."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     paths = [str(Path(flowlab.__file__).parents[1]), str(Path(__file__).parent)]
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, paths + [os.environ.get("PYTHONPATH")]))
@@ -282,17 +320,62 @@ class TestEnergyPermutationTest:
 
     @pytest.mark.parametrize("n", ORACLE_NS)
     def test_matches_float64_oracle(self, n):
-        # the observed statistic sums float64 distances; the permutations'
-        # come from float32 products, so a permutation whose statistic
-        # lies within the float32 band of the observed one is a tie that
-        # may fall either way (n = 5 has many)
-        for P, kind, expected, perms, (stat, p) in oracle_results(n):
-            band = 3.9e-4 * abs(expected)
+        # the statistic sums float64 distances; the p-value compares exact
+        # integer sums of the quantized distances, so it equals the
+        # oracle's on the same quantized distances, ties included
+        for P, kind, expected, expected_p, (stat, p) in oracle_results(n):
             assert abs(stat - expected) <= 1e-9 * abs(expected), (P, kind)
-            above = np.sum(perms > expected + band)
-            near = np.sum(np.abs(perms - expected) <= band)
-            count = round(p * (1 + P)) - 1  # permutations at or above
-            assert above <= count <= above + near, (P, kind)
+            assert p == expected_p, (P, kind)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rounded"])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_quantized_statistics_near_exact(self, n, kind):
+        # _triangle_sums' integer sums are the oracle's. Each of a sum's n^2
+        # pairs moves by at most q / 2, so a statistic 4 x'D(1 - x) / n^2
+        # moves by at most 2q; a lattice's distances ("rounded") share
+        # their errors, which shift every statistic alike. What decides
+        # the p-value is how far a permutation's error leaves the observed
+        # labels': independent errors would spread it by about 1.6 q / n,
+        # and it stays within 8 q / n (at most 3.1 q / n was read)
+        a, b = oracle_points(n, kind)
+        pooled = np.vstack([a, b])
+        q = quantum(pooled)
+        stats, s_exact, s_q = energy_permutation_oracle(a, b, 200, seed=n)
+        X = oracle_labels(n, 200, n)[:, 1:].astype(np.float32)
+        sums = flowlab.diag._triangle_sums(pooled, X)[2]
+        assert np.array_equal(sums, s_q)
+        assert np.array_equal(sums, np.round(sums))
+        errors = 4.0 * (q * sums - s_exact) / n ** 2
+        assert np.abs(errors).max() <= 2.0 * q
+        assert np.abs(errors[1:] - errors[0]).max() <= 8.0 * q / n
+        # which is under 4% of the permutation statistics' spread here
+        assert 8.0 * q / n <= 0.04 * stats[1:].std()
+
+    @pytest.mark.parametrize("rows", [16, 64, 128])
+    @pytest.mark.parametrize("n", [200, 1001])
+    def test_threads_and_blocks_do_not_change_bits(self, monkeypatch, n,
+                                                   rows):
+        # blocks of `rows` rows on 1, 2, 3 and 8 threads: the p-value is
+        # the same everywhere, and the statistic is the same on every
+        # thread count, and equal to the default's on 128-row blocks
+        a, b = oracle_points(n, "rounded")
+        default = energy_permutation_test(a, b, 100, seed=n)
+        monkeypatch.setattr(flowlab.diag, "ENERGY_BLOCK_ELEMENTS", rows * 2 * n)
+        results = set()
+        for share in (1, 2, 3, 8):
+            monkeypatch.setattr(flowlab.diag, "_cpu_share", lambda: share)
+            results.add(energy_permutation_test(a, b, 100, seed=n))
+        assert len(results) == 1
+        stat, p = results.pop()
+        assert p == default[1]
+        if rows == 128:
+            assert stat == default[0]
+
+    def test_blas_thread_count_does_not_change_bits(self):
+        # one BLAS thread runs the test on two Python threads on 2 CPUs,
+        # two BLAS threads run it on the calling thread
+        assert pinned_child("blas_results", "1") == pinned_child(
+            "blas_results", "2")
 
     def test_statistic_does_not_depend_on_permutation_count(self):
         a, b = oracle_points(1001, "scaled")
@@ -308,12 +391,9 @@ class TestEnergyPermutationTest:
         monkeypatch.setattr(flowlab.diag, "CDIST_ELEMENTS", 16)
         stat, p = energy_permutation_test(a, b, 50, seed=4)
         assert (stat, p) == default
-        expected, perms = energy_permutation_oracle(a, b, 50, seed=4)
-        assert abs(stat - expected) <= 1e-9 * abs(expected)
-        band = 3.9e-4 * abs(expected)
-        above = np.sum(perms > expected + band)
-        near = np.sum(np.abs(perms - expected) <= band)
-        assert above <= round(p * 51) - 1 <= above + near
+        stats, _, s_q = energy_permutation_oracle(a, b, 50, seed=4)
+        assert abs(stat - stats[0]) <= 1e-9 * abs(stats[0])
+        assert p == quantized_p_value(s_q)
 
     def test_python_thread_count_does_not_change_bits(self):
         rows = pinned_child("share_results")
