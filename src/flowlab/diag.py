@@ -24,7 +24,7 @@ from .netcore import TrainingError, _cpu_share
 W2_MAX_POINTS = 256
 # a student's samples stay within this multiple of max |mu| + 5 max s + 1
 SAMPLE_BOUND = 100.0
-# the energy test's row blocks are 128 rows, halved while they hold more
+# the energy test's row blocks are 128 rows, or 64 once 128 would hold more
 # than this many float32 distances (4 MiB); it runs threads above this many
 ENERGY_BLOCK_ELEMENTS = 2 ** 20
 # float64 distances each thread computes at once, before the float32 cast;
@@ -39,10 +39,9 @@ def w2_exact_small(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if len(a) != len(b):
         raise ValueError("point sets must have equal size")
-    if len(a) == 0:
-        raise ValueError("point sets must be nonempty")
-    if len(a) > W2_MAX_POINTS:
-        raise ValueError(f"at most {W2_MAX_POINTS} points (exact assignment)")
+    if not 0 < len(a) <= W2_MAX_POINTS:
+        raise ValueError(f"point sets must be nonempty, of at most "
+                         f"{W2_MAX_POINTS} points (exact assignment)")
     cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
@@ -95,14 +94,14 @@ def _triangle_sums(pooled, X):
     x'D_q(1 - x) for that x, then for each column x of X), D the pooled
     distance matrix and D_q = rint(D / q) its integers in units of q.
 
-    D's rows are cut into blocks of 128 rows, halved while a block would
-    hold more than ENERGY_BLOCK_ELEMENTS distances, and block I holds its
+    D's rows are cut into blocks of 128 rows, or 64 once 128 would hold
+    more than ENERGY_BLOCK_ELEMENTS distances, and block I holds its
     distances to the columns from its own first row on. With r_I those
     rows' sums, block I adds x_I'(r_I - D_II x_I - 2 D_I,>I x_>I) +
     1'D_I,>I x_>I to x'D(1 - x), and 1'D_II 1 + 2 1'D_I,>I 1 to 1'D1:
     from float64 distances, added block by block in row order, for the
     first two sums, and from D_q's float32 products with X for the rest.
-    A block's rows split evenly over up to netcore._cpu_share() threads.
+    A block's rows split evenly over min(2, netcore._cpu_share()) threads.
     """
     N, P = X.shape
     n = N // 2
@@ -113,10 +112,8 @@ def _triangle_sums(pooled, X):
     bound = 2.0 * np.linalg.norm(pooled - pooled[0], axis=1).max()
     frac, exp = np.frexp(bound / (2 ** 24 // N - 1))
     scale = 1.0 / max(np.ldexp(1.0, exp - (frac == 0.5)), np.finfo(float).tiny)
-    rows = 128
-    while rows > 1 and rows * N > ENERGY_BLOCK_ELEMENTS:
-        rows //= 2
-    share = min(_cpu_share(), rows) if N * N > ENERGY_BLOCK_ELEMENTS else 1
+    rows = 128 if 128 * N <= ENERGY_BLOCK_ELEMENTS else 64
+    share = min(_cpu_share(), 2) if N * N > ENERGY_BLOCK_ELEMENTS else 1
     dist = np.empty(rows * N, dtype=np.float32)
     scratch = np.empty((share, max(CDIST_ELEMENTS, N)))
     # each row's float64 distance sums in the block's square or past it, to
@@ -149,6 +146,7 @@ def _triangle_sums(pooled, X):
         np.matmul(D[u0:u1, m:], X[i0 + m:], out=Yo[u0:u1])
 
     s_obs, s_tot, s_q = 0.0, 0.0, np.zeros(1 + P)
+    w = np.empty((rows, P))
     with ThreadPoolExecutor(share) as pool:
         run = pool.map if share > 1 else map
         for i0 in range(0, N, rows):
@@ -158,8 +156,12 @@ def _triangle_sums(pooled, X):
             r = da + db + oa + ob
             s_tot += (r + oa + ob).sum()
             s_obs += (r - da - 2.0 * oa)[:max(0, n - i0)].sum() + oa.sum()
-            W = (a_q + b_q)[:, None] - Yd[:m] - 2.0 * Yo[:m]
-            s_q[1:] += (W * X[i0:i0 + m] + Yo[:m]).sum(axis=0)
+            W = np.multiply(Yo[:m], -2.0, out=w[:m])
+            W -= Yd[:m]
+            W += (a_q + b_q)[:, None]
+            W *= X[i0:i0 + m]
+            W += Yo[:m]
+            s_q[1:] += W.sum(axis=0)
             s_q[0] += b_q[:max(0, n - i0)].sum()
     return s_obs, s_tot, s_q
 
@@ -193,11 +195,10 @@ def teacher_trajectory_divergence(teacher, grid: StageGrid, n: int,
         start = interpolate(z0_true, eps, grid.t(k))
         piecewise.append(rollout(teacher, grid, start, k, k - 1, substeps)[-1])
 
-    boundaries = grid.boundaries[1:]
     gaps = [np.linalg.norm(c - p, axis=1) for c, p in zip(continuous, piecewise)]
     means = np.array([g.mean() for g in gaps])
     ses = np.array([g.std(ddof=1) / np.sqrt(n) for g in gaps])
-    return boundaries, means, ses
+    return grid.boundaries[1:], means, ses
 
 
 def check_bounded(points, spec: MixtureSpec, what: str):
@@ -230,12 +231,11 @@ def interstage_distance(student, grid: StageGrid, n: int, data: MixtureSpec,
     check_bounded(b_sets, data, "student boundary states")
     results = []
     for k, a_set, z in zip(range(K, 1, -1), a_sets, b_sets):
-        t_b = grid.t(k - 1)
         stat, p = energy_permutation_test(a_set, z, n_permutations,
                                           seed=seed + k)
         m = min(W2_MAX_POINTS, n)
         w2 = w2_exact_small(a_set[:m], z[:m])
-        results.append({"boundary": float(t_b), "energy_distance": stat,
+        results.append({"boundary": float(grid.t(k - 1)), "energy_distance": stat,
                         "p_value": p, "w2": w2})
     return results
 
